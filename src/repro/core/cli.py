@@ -151,8 +151,8 @@ def build_parser():
     bench_p.add_argument("--no-cache", action="store_true",
                          help="bypass the persistent result cache")
     bench_p.add_argument("--cache-dir", default=None,
-                         help="cache directory (default: $REPRO_CACHE_DIR "
-                              "or ~/.cache/repro-hydra)")
+                         help="plan store directory (default: "
+                              "$REPRO_CACHE_DIR, else in-memory only)")
     bench_p.add_argument("--no-energy", action="store_true")
     bench_p.add_argument("--json", action="store_true",
                          help="print results + manifest as JSON")
@@ -395,14 +395,25 @@ def _cmd_run(args, out):
 def _cmd_bench(args, out):
     import json as _json
 
-    from repro.runtime import DiskCache, execute, paper_grid
+    from repro.runtime import (
+        SqlitePlanStore,
+        default_cache,
+        execute,
+        paper_grid,
+    )
 
     requests = paper_grid(
         systems=args.systems,
         benchmarks=args.benchmarks,
         with_energy=not args.no_energy,
     )
-    cache = None if args.no_cache else DiskCache(args.cache_dir)
+    # The same plan store `serve` and `capacity` read.
+    if args.no_cache:
+        cache = None
+    elif args.cache_dir:
+        cache = SqlitePlanStore(args.cache_dir)
+    else:
+        cache = default_cache()
     outcome = execute(requests, jobs=args.jobs, cache=cache,
                       use_cache=not args.no_cache)
     manifest = outcome.manifest
@@ -441,7 +452,7 @@ def _cmd_bench(args, out):
     ))
     out("")
     out(manifest.summary())
-    if cache is not None:
+    if isinstance(cache, SqlitePlanStore):
         out(f"cache: {cache.directory} ({len(cache)} entries)")
     return 0
 

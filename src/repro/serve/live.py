@@ -385,6 +385,10 @@ class LiveDriver:
         return outcome, future
 
 
+class _BadRequest(ValueError):
+    """A request the HTTP parser rejects with 400 before routing."""
+
+
 class LiveServer:
     """Minimal HTTP/1.1 façade over a :class:`LiveDriver`.
 
@@ -449,8 +453,10 @@ class LiveServer:
                 break
             key, _, value = raw.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        body = await reader.readexactly(length) if length else b""
+        length = headers.get("content-length") or "0"
+        if not (length.isascii() and length.isdigit()):
+            raise _BadRequest(f"invalid Content-Length {length!r}")
+        body = await reader.readexactly(int(length))
         return method, path, headers, body
 
     # -- routes ---------------------------------------------------------
@@ -675,6 +681,8 @@ class LiveServer:
                 self.shutdown_event.set()
             else:
                 status, payload = 404, {"error": f"no route {path!r}"}
+        except _BadRequest as exc:
+            status, payload = 400, {"error": str(exc)}
         except (ConnectionError, asyncio.IncompleteReadError):
             writer.close()
             return

@@ -2,7 +2,8 @@
 
 ``repro serve <scenario> --telemetry-out dir/`` lands three files:
 
-* ``report.json`` — the full ``repro.serve/v2`` document;
+* ``report.json`` — the full ``repro.serve/v3`` document
+  (``repro.serve/v4`` for scenarios with LLM tenants);
 * ``metrics.prom`` — Prometheus text-exposition rendering of the run's
   counters and per-tenant latency summaries (every series labeled with
   its fleet), consumable by any Prometheus-compatible scraper or
@@ -47,7 +48,7 @@ def _parse_label_key(key):
 
 
 def serve_prom_text(report, prefix="repro_"):
-    """Render a ``repro.serve/v2`` report as Prometheus exposition text.
+    """Render a ``repro.serve/v3``/``v4`` report as Prometheus text.
 
     Counters come from each fleet fragment's ``metrics`` section;
     per-tenant latency distributions become prom summaries (quantile

@@ -10,6 +10,7 @@ from repro.hw import hydra_cluster
 from repro.runtime import (
     MemoryCache,
     RunRequest,
+    SqlitePlanStore,
     execute,
     paper_grid,
     run_one,
@@ -214,6 +215,16 @@ class TestCli:
         assert "Hydra-S" in out.text
         assert "1 runs" in out.text
         assert str(tmp_path) in out.text
+
+    def test_bench_writes_the_sqlite_plan_store(self, tmp_path):
+        # `serve` and `capacity` read SqlitePlanStore; bench plans must
+        # land there, not in a side cache nothing else reads.
+        assert main(["bench", "-s", "Hydra-S", "-b", "resnet18",
+                     "--cache-dir", str(tmp_path)], out=_Capture()) == 0
+        (request,) = paper_grid(systems=["Hydra-S"],
+                                benchmarks=["resnet18"])
+        assert request.key() in SqlitePlanStore(tmp_path, memory=False)
+        assert not list(tmp_path.glob("*.json"))
 
     def test_bench_no_cache(self, tmp_path):
         out = _Capture()

@@ -11,6 +11,7 @@ encrypt → infer → decrypt requests over localhost.
 import asyncio
 import json
 import re
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -220,6 +221,21 @@ class TestLiveHTTP:
         except urllib.error.HTTPError as err:
             status = err.code
         assert status == 400
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_is_400_then_eof(self, server,
+                                                      length):
+        with socket.create_connection(("127.0.0.1", server),
+                                      timeout=60) as sock:
+            sock.sendall(
+                f"POST /v1/infer HTTP/1.1\r\nHost: x\r\n"
+                f"Content-Length: {length}\r\n\r\n".encode())
+            reply = b""
+            while chunk := sock.recv(4096):  # EOF ends the loop
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400\r\n"), reply
+        assert length in json.loads(body)["error"]
 
     def test_unknown_route_is_404(self, server):
         status, _, _ = _http(server, "/nope")
