@@ -18,8 +18,8 @@ A full-system reproduction of the HPCA 2025 paper, comprising:
   persistent fingerprint-keyed result cache, and run manifests;
 * :mod:`repro.analysis` — censuses and table rendering for the
   experiment harnesses in ``benchmarks/``;
-* :mod:`repro.backend` — pluggable kernel providers (numpy / numba /
-  numpy-fast) behind the NTT/RNS hot path.
+* :mod:`repro.backend` — pluggable NTT kernel providers (numpy /
+  numba) behind the ring-product hot path.
 """
 
 from repro.core import HydraSystem

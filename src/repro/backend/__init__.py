@@ -1,12 +1,11 @@
-"""Pluggable kernel providers behind the NTT/RNS hot path.
+"""Pluggable kernel providers behind the NTT hot path.
 
 The paper's scale-out story swaps the arithmetic engine under an
 unchanged FHE dataflow; :mod:`repro.backend` is that seam in software.
-A :class:`KernelProvider` supplies the negacyclic NTT kernels and the
-element-wise RNS operations every :class:`~repro.poly.RnsContext`
-dispatches through; the registry resolves which provider a context uses
-(``backend=`` argument > CLI/:func:`use_backend` scope >
-``$REPRO_BACKEND`` > ``"numpy"``).
+A :class:`KernelProvider` builds the negacyclic NTT kernels every
+:class:`~repro.poly.RnsContext` runs its ring products through; the
+registry resolves which provider a context uses (``backend=`` argument
+> CLI/:func:`use_backend` scope > ``$REPRO_BACKEND`` > ``"numpy"``).
 
 Shipped providers:
 
@@ -16,10 +15,6 @@ Shipped providers:
 ``numba``
     njit-compiled Harvey butterflies, parallel over limbs.  Optional;
     degrades to numpy with a ``RuntimeWarning`` when not installed.
-``numpy-fast``
-    Float64 Shoup-style modular products where the modulus bit-width
-    provably permits exact rounding (FPT-inspired reduced precision);
-    falls back to the exact kernel per-chain otherwise.
 
 Every future order-of-magnitude engine (C extension, GPU) registers
 here via :func:`register_backend` and inherits the whole dataflow.
@@ -27,11 +22,6 @@ here via :func:`register_backend` and inherits the whole dataflow.
 
 from repro.backend.numba_backend import NumbaProvider
 from repro.backend.numpy_backend import NumpyProvider
-from repro.backend.numpy_fast import (
-    MAX_FAST_MODULUS_BITS,
-    FastNttKernel,
-    NumpyFastProvider,
-)
 from repro.backend.provider import BackendUnavailable, KernelProvider
 from repro.backend.registry import (
     available_backends,
@@ -47,11 +37,8 @@ from repro.backend.registry import (
 
 __all__ = [
     "BackendUnavailable",
-    "FastNttKernel",
     "KernelProvider",
-    "MAX_FAST_MODULUS_BITS",
     "NumbaProvider",
-    "NumpyFastProvider",
     "NumpyProvider",
     "available_backends",
     "backend_names",
@@ -66,4 +53,3 @@ __all__ = [
 
 register_backend(NumpyProvider)
 register_backend(NumbaProvider)
-register_backend(NumpyFastProvider)

@@ -24,7 +24,6 @@ import importlib.util
 import numpy as np
 
 from repro.backend.provider import BackendUnavailable, KernelProvider
-from repro.math.ntt import NttContext
 
 __all__ = ["NumbaProvider", "NumbaNttKernel"]
 
@@ -161,9 +160,6 @@ class NumbaProvider(KernelProvider):
         import numba
 
         return True, f"numba {numba.__version__}"
-
-    def make_context(self, poly_degree, modulus):
-        return NttContext(poly_degree, modulus=modulus, provider=self)
 
     def make_kernel(self, poly_degree, moduli):
         contexts = tuple(self.get_context(poly_degree, q) for q in moduli)

@@ -3,11 +3,10 @@
 This provider *is* the pre-backend behavior: it builds the exact
 :class:`~repro.math.ntt.NttContext` / :class:`~repro.math.ntt.NttKernel`
 objects the hot path has always used (Harvey lazy-reduction butterflies,
-transposed small-span stages, stacked multi-limb passes) and inherits
-the reference element-wise RNS operations from
-:class:`~repro.backend.provider.KernelProvider` unchanged.  Its output
-is byte-identical to the seed kernels by construction — the parity
-suite pins every other provider against it.
+transposed small-span stages, stacked multi-limb passes), inheriting
+:meth:`~repro.backend.provider.KernelProvider.make_kernel` unchanged.
+Its output is byte-identical to the seed kernels by construction — the
+parity suite pins every other provider against it.
 """
 
 from __future__ import annotations

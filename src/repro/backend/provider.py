@@ -1,17 +1,15 @@
-"""The kernel-provider protocol behind the NTT/RNS hot path.
+"""The kernel-provider protocol behind the NTT hot path.
 
 A :class:`KernelProvider` is the seam between the FHE dataflow (CKKS
 contexts, RNS polynomials, evaluators) and the arithmetic engine that
-executes it.  The paper's performance story rests on exactly this
-separation: Hydra swaps a hand-built FPGA compute unit under an
-unchanged host dataflow, FAB treats NTT/keyswitch as a replaceable
-accelerator block, and FPT shows an entire bootstrapping pipeline run
-in reduced precision once the noise budget is accounted for.  In this
-repository the same boundary lets a numba-compiled or reduced-precision
-engine replace the numpy kernels without touching a single line above
-:mod:`repro.poly`.
+executes its transforms.  The paper's performance story rests on
+exactly this separation: Hydra swaps a hand-built FPGA compute unit
+under an unchanged host dataflow, and FAB treats NTT/keyswitch as a
+replaceable accelerator block.  In this repository the same boundary
+lets a numba-compiled engine replace the numpy NTT kernels without
+touching a single line above :mod:`repro.poly`.
 
-Every provider owns
+A provider is a kernel factory and nothing more.  It owns
 
 * a **context cache** mapping ``(degree, modulus)`` to an
   :class:`~repro.math.ntt.NttContext` (the twiddle tables), and
@@ -20,26 +18,16 @@ Every provider owns
 
 The caches are *provider-scoped* on purpose: two backends must never
 share cached twiddle tables or kernels, because a provider is free to
-store its tables in a different layout (float mirrors, transposed
-stages, device buffers).  :func:`repro.backend.clear_caches` empties
-every provider's caches at once.
-
-The base class also carries the **exact numpy implementations** of the
-element-wise RNS operations (add/sub/negate/scalar-multiply/
-automorphism) and the HPS approximate base conversion.  Providers
-override only what they accelerate; everything else inherits the
-reference path, so a partial provider is still a correct provider.
-
-Batch variants (``ntt_forward_batch`` & friends) operate on a whole
-coalesced serve batch stacked into one ``(batch, limbs, N)`` ndarray:
-the provider tiles the moduli chain ``batch`` times and runs one fused
-kernel pass, which is how the serving layer's coalesced batches turn
-into single wide ndarray ops instead of per-ciphertext Python loops.
+store its tables in a different layout (transposed stages, device
+buffers).  :func:`repro.backend.clear_caches` empties every provider's
+caches at once.  Element-wise RNS arithmetic (add, negate, automorphism,
+base conversion) is plain numpy in :mod:`repro.poly` and does not go
+through the provider.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from repro.math.ntt import NttContext, NttKernel
 
 __all__ = ["BackendUnavailable", "KernelProvider"]
 
@@ -52,10 +40,7 @@ class KernelProvider:
     """Base class / protocol for pluggable kernel backends.
 
     Subclasses must set :attr:`name` and may override
-    :meth:`make_context`, :meth:`make_kernel`, :meth:`availability` and
-    any of the element-wise operations.  All array arguments and return
-    values are ``uint64`` ndarrays with residues in ``[0, q)`` per limb
-    unless stated otherwise.
+    :meth:`make_kernel` and :meth:`availability`.
     """
 
     #: Registry name; subclasses must override.
@@ -78,14 +63,8 @@ class KernelProvider:
         return True, "always available"
 
     # ------------------------------------------------------------------
-    # Construction hooks (the provider seam)
+    # Construction hook (the provider seam)
     # ------------------------------------------------------------------
-
-    def make_context(self, poly_degree, modulus):
-        """Build a fresh per-prime NTT context bound to this provider."""
-        from repro.math.ntt import NttContext
-
-        return NttContext(poly_degree, modulus=modulus, provider=self)
 
     def make_kernel(self, poly_degree, moduli):
         """Build a fresh stacked kernel over ``(limbs, N)`` residues.
@@ -94,8 +73,6 @@ class KernelProvider:
         reduce_output=True)``, ``inverse(data)`` and
         ``negacyclic_multiply(a, b)``.
         """
-        from repro.math.ntt import NttKernel
-
         contexts = tuple(self.get_context(poly_degree, q) for q in moduli)
         return NttKernel(poly_degree, moduli=moduli, contexts=contexts)
 
@@ -108,7 +85,7 @@ class KernelProvider:
         key = (int(poly_degree), int(modulus))
         ctx = self._context_cache.get(key)
         if ctx is None:
-            ctx = self.make_context(*key)
+            ctx = NttContext(key[0], modulus=key[1], provider=self)
             self._context_cache[key] = ctx
         return ctx
 
@@ -125,115 +102,3 @@ class KernelProvider:
         """Drop every memoized context and kernel of this provider."""
         self._context_cache.clear()
         self._kernel_cache.clear()
-
-    # ------------------------------------------------------------------
-    # Element-wise RNS operations (exact numpy reference paths)
-    # ------------------------------------------------------------------
-    #
-    # ``q`` is always the read-only (limbs, 1) uint64 moduli column the
-    # RnsContext memoizes; the wraparound ``np.minimum`` conditional
-    # subtraction is the same lazy-reduction trick the NTT uses.
-
-    def rns_add(self, a, b, q):
-        """Limb-parallel ``(a + b) mod q``."""
-        s = a + b
-        return np.minimum(s, s - q)
-
-    def rns_sub(self, a, b, q):
-        """Limb-parallel ``(a - b) mod q``."""
-        d = a + (q - b)
-        return np.minimum(d, d - q)
-
-    def rns_negate(self, a, q):
-        """Limb-parallel ``(-a) mod q``."""
-        d = q - a
-        return np.minimum(d, d - q)
-
-    def rns_scalar_mul(self, a, scalar_col, q):
-        """Limb-parallel ``(a * s) mod q`` for a per-limb scalar column."""
-        return a * scalar_col % q
-
-    def rns_automorphism(self, a, dest, flip, q):
-        """Apply ``X -> X**g`` index wiring given precomputed maps.
-
-        ``dest``/``flip`` come from the memoized automorphism maps:
-        coefficient ``i`` lands at ``dest[i]`` with a sign flip where
-        ``flip[i]`` — pure wiring, exactly Hydra's Automorphism unit.
-        """
-        neg = q - a
-        src = np.where(flip[None, :], np.minimum(neg, neg - q), a)
-        out = np.empty_like(a)
-        out[:, dest] = src
-        return out
-
-    def base_convert(self, data, tables):
-        """HPS approximate base conversion given precomputed tables.
-
-        ``tables`` is the tuple ``(qhat_inv, qhat_mod_target,
-        prod_mod_target, from_col, to_col, from_inv)`` the RnsContext
-        memoizes per ``(from, to)`` basis pair; see
-        :meth:`repro.poly.RnsContext.base_convert` for the math.
-        """
-        (qhat_inv, qhat_mod_target, prod_mod_target,
-         from_col, to_col, from_inv) = tables
-        n = data.shape[1]
-        # t_i = x_i * (Q/q_i)^{-1} mod q_i, all limbs in one pass.
-        t = data * qhat_inv % from_col
-        # v counts how many multiples of Q the CRT sum overshoots by.
-        frac = (t.astype(np.float64) * from_inv).sum(axis=0)
-        v = np.rint(frac).astype(np.uint64)
-        out = np.zeros((to_col.shape[0], n), dtype=np.uint64)
-        for i in range(t.shape[0]):
-            # acc and the reduced product are both < p, so the sum is
-            # < 2p and one wraparound-minimum replaces the second ``%``.
-            s = out + t[i][None, :] * qhat_mod_target[i][:, None] % to_col
-            out = np.minimum(s, s - to_col)
-        correction = v[None, :] * prod_mod_target % to_col
-        out += to_col - correction
-        return np.minimum(out, out - to_col)
-
-    # ------------------------------------------------------------------
-    # Batch variants (coalesced serve batches)
-    # ------------------------------------------------------------------
-    #
-    # ``data`` has shape (batch, limbs, N): every ciphertext in a
-    # coalesced batch shares the moduli chain, so the batch collapses to
-    # one stacked kernel whose moduli are tiled ``batch`` times.
-
-    def _batched_kernel(self, poly_degree, moduli, data):
-        if data.ndim != 3:
-            raise ValueError(
-                f"batched data must be (batch, limbs, N), got {data.shape}"
-            )
-        batch, limbs, _ = data.shape
-        if limbs != len(moduli):
-            raise ValueError(
-                f"data has {limbs} limbs per item, basis has {len(moduli)}"
-            )
-        kernel = self.get_kernel(poly_degree, tuple(moduli) * batch)
-        return kernel, batch * limbs
-
-    def ntt_forward_batch(self, poly_degree, moduli, data):
-        """Forward NTT over a ``(batch, limbs, N)`` stack in one pass."""
-        kernel, rows = self._batched_kernel(poly_degree, moduli, data)
-        flat = kernel.forward(data.reshape(rows, data.shape[2]))
-        return flat.reshape(data.shape)
-
-    def ntt_inverse_batch(self, poly_degree, moduli, data):
-        """Inverse NTT over a ``(batch, limbs, N)`` stack in one pass."""
-        kernel, rows = self._batched_kernel(poly_degree, moduli, data)
-        flat = kernel.inverse(data.reshape(rows, data.shape[2]))
-        return flat.reshape(data.shape)
-
-    def negacyclic_multiply_batch(self, poly_degree, moduli, a, b):
-        """Negacyclic products over two ``(batch, limbs, N)`` stacks."""
-        if a.shape != b.shape:
-            raise ValueError(
-                f"batch operand shapes differ: {a.shape} vs {b.shape}"
-            )
-        kernel, rows = self._batched_kernel(poly_degree, moduli, a)
-        n = a.shape[2]
-        flat = kernel.negacyclic_multiply(
-            a.reshape(rows, n), b.reshape(rows, n)
-        )
-        return flat.reshape(a.shape)

@@ -10,9 +10,11 @@ objects: every operation returns a new polynomial; in-place mutation is
 never exposed.
 
 Element-wise arithmetic (add/sub/negate/scalar-multiply/automorphism)
-dispatches through the context's kernel provider
-(:class:`repro.backend.KernelProvider`), the same seam the NTT kernels
-use, so a backend can accelerate the whole hot path.
+is plain numpy over the whole ``(limbs, N)`` stack; the conditional
+subtraction ``np.minimum(x, x - q)`` is the same ``uint64`` wraparound
+trick the NTT butterflies use for lazy reduction.  Only the ring
+products go through the context's kernel provider
+(:class:`repro.backend.KernelProvider`).
 """
 
 from __future__ import annotations
@@ -169,21 +171,21 @@ class RnsPoly:
         """Return ``self + other``."""
         self._check_compatible(other)
         q = self._moduli_column()
-        out = self.context.backend.rns_add(self.data, other.data, q)
-        return RnsPoly(self.context, out, self.basis)
+        out = self.data + other.data
+        return RnsPoly(self.context, np.minimum(out, out - q), self.basis)
 
     def sub(self, other):
         """Return ``self - other``."""
         self._check_compatible(other)
         q = self._moduli_column()
-        out = self.context.backend.rns_sub(self.data, other.data, q)
-        return RnsPoly(self.context, out, self.basis)
+        out = self.data + (q - other.data)
+        return RnsPoly(self.context, np.minimum(out, out - q), self.basis)
 
     def negate(self):
         """Return ``-self``."""
         q = self._moduli_column()
-        out = self.context.backend.rns_negate(self.data, q)
-        return RnsPoly(self.context, out, self.basis)
+        out = q - self.data
+        return RnsPoly(self.context, np.minimum(out, out - q), self.basis)
 
     def multiply(self, other):
         """Negacyclic product ``self * other`` (limb-batched NTT multiply)."""
@@ -201,8 +203,7 @@ class RnsPoly:
             [scalar % self.context.moduli[idx] for idx in self.basis],
             dtype=np.uint64,
         )[:, None]
-        out = self.context.backend.rns_scalar_mul(self.data, s_col, q)
-        return RnsPoly(self.context, out, self.basis)
+        return RnsPoly(self.context, self.data * s_col % q, self.basis)
 
     # ------------------------------------------------------------------
     # Automorphisms (rotations / conjugation)
@@ -221,9 +222,10 @@ class RnsPoly:
             raise ValueError(f"galois element must be odd, got {galois_element}")
         dest, flip = _automorphism_maps(n, g)
         q = self._moduli_column()
-        out = self.context.backend.rns_automorphism(
-            self.data, dest, flip, q
-        )
+        neg = q - self.data
+        src = np.where(flip[None, :], np.minimum(neg, neg - q), self.data)
+        out = np.empty_like(self.data)
+        out[:, dest] = src
         return RnsPoly(self.context, out, self.basis)
 
     # ------------------------------------------------------------------

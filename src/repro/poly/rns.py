@@ -12,9 +12,11 @@ single ndarray ops (chunk size bounded by :data:`_CHUNK_ELEMENTS` so the
 working set stays cache-resident at large ``N``), and the per-basis
 constant columns every operation needs are memoized on the context.
 
-All kernels come from the context's :class:`repro.backend.KernelProvider`
-(the ``backend`` constructor argument, resolved per the registry
-precedence), which owns the twiddle/kernel caches the context draws from.
+All NTT kernels come from the context's
+:class:`repro.backend.KernelProvider` (the ``backend`` constructor
+argument, resolved per the registry precedence), which owns the
+twiddle/kernel caches the context draws from; base conversion is plain
+numpy here.
 """
 
 from __future__ import annotations
@@ -264,14 +266,26 @@ class RnsContext:
         result can be off by a small additive error (bounded by the number
         of source limbs), which is absorbed by CKKS noise — exactly the
         approximation FHE hardware implements.
-
-        The arithmetic itself runs in the context's kernel provider
-        (:meth:`repro.backend.KernelProvider.base_convert`).
         """
         data = np.asarray(data, dtype=np.uint64)
         if data.shape[0] != len(from_idx):
             raise ValueError(
                 f"data has {data.shape[0]} limbs, basis has {len(from_idx)}"
             )
-        tables = self._conversion_tables(from_idx, to_idx)
-        return self.backend.base_convert(data, tables)
+        (qhat_inv, qhat_mod_target, prod_mod_target,
+         from_col, to_col, from_inv) = self._conversion_tables(from_idx,
+                                                               to_idx)
+        # t_i = x_i * (Q/q_i)^{-1} mod q_i, all limbs in one pass.
+        t = data * qhat_inv % from_col
+        # v counts how many multiples of Q the CRT sum overshoots by.
+        frac = (t.astype(np.float64) * from_inv).sum(axis=0)
+        v = np.rint(frac).astype(np.uint64)
+        out = np.zeros((to_col.shape[0], data.shape[1]), dtype=np.uint64)
+        for i in range(t.shape[0]):
+            # acc and the reduced product are both < p, so the sum is
+            # < 2p and one wraparound-minimum replaces the second ``%``.
+            s = out + t[i][None, :] * qhat_mod_target[i][:, None] % to_col
+            out = np.minimum(s, s - to_col)
+        correction = v[None, :] * prod_mod_target % to_col
+        out += to_col - correction
+        return np.minimum(out, out - to_col)

@@ -10,8 +10,7 @@ This package is how experiments run at scale:
 * :class:`MemoryCache` / :class:`SqlitePlanStore` — injectable result
   caches, including the persistent cross-process plan store under
   ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-hydra/`` (``cache``,
-  ``planstore``; :class:`DiskCache` is the legacy JSON layout the
-  store migrates from);
+  ``planstore``);
 * :func:`execute` / :func:`run_one` — deterministic fan-out of request
   grids over a process pool with in-order merging (``executor``);
 * :class:`RunManifest` — per-run provenance: wall time, cache hits,
@@ -28,7 +27,6 @@ Typical use::
 
 from repro.runtime.cache import (
     CacheStats,
-    DiskCache,
     MemoryCache,
     RunCache,
     default_cache,
@@ -47,7 +45,6 @@ from repro.runtime.requests import RunRequest, RunResult, paper_grid
 
 __all__ = [
     "CacheStats",
-    "DiskCache",
     "MemoryCache",
     "RunCache",
     "SqlitePlanStore",

@@ -1,4 +1,4 @@
-"""Run-result caches: the in-memory cache and the legacy JSON format.
+"""Run-result caches: the cache protocol and the in-memory cache.
 
 Persistent caching lives under ``$REPRO_CACHE_DIR`` (or
 ``~/.cache/repro-hydra/`` when unset).  Because keys are full
@@ -9,9 +9,6 @@ orphaned entries are just never read again.
 
 The persistent store is :class:`~repro.runtime.SqlitePlanStore`
 (sqlite + per-key file locks, safe for concurrent server processes).
-:class:`DiskCache` — the original one-JSON-file-per-key layout with no
-cross-process write exclusion — is kept for one release as the legacy
-format the sqlite store migrates from on first open.
 
 :func:`default_cache` is the process-wide cache that
 :class:`~repro.core.HydraSystem` uses when none is injected — an
@@ -22,19 +19,14 @@ in-memory cache normally, or the sqlite plan store when
 from __future__ import annotations
 
 import contextlib
-import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-
-from repro.sched.planner import ModelRunResult
 
 __all__ = [
     "CacheStats",
     "RunCache",
     "MemoryCache",
-    "DiskCache",
     "default_cache",
     "set_default_cache",
     "default_cache_dir",
@@ -42,9 +34,6 @@ __all__ = [
 
 #: Environment variable overriding the persistent cache directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
-
-#: On-disk payload format; bump when the serialized layout changes.
-_FORMAT = 1
 
 
 def default_cache_dir():
@@ -154,93 +143,6 @@ class MemoryCache(RunCache):
         return len(self._entries)
 
 
-class DiskCache(RunCache):
-    """Persistent JSON cache, one file per key, atomic writes.
-
-    Parameters
-    ----------
-    directory:
-        Cache root; defaults to ``$REPRO_CACHE_DIR`` or
-        ``~/.cache/repro-hydra``.  Created on first write.
-    memory:
-        Keep a read-through in-memory layer so repeated lookups in one
-        process parse each file at most once.
-    """
-
-    def __init__(self, directory=None, memory=True):
-        super().__init__()
-        self.directory = Path(directory) if directory else default_cache_dir()
-        self._memory = {} if memory else None
-
-    def _path(self, key):
-        return self.directory / f"{key}.json"
-
-    def _load(self, key):
-        if self._memory is not None and key in self._memory:
-            return self._memory[key]
-        path = self._path(key)
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        try:
-            payload = json.loads(text)
-            if payload.get("format") != _FORMAT:
-                self.stats.stale += 1
-                return None
-            result = ModelRunResult.from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            # Corrupt or incompatible entry — count it stale and treat
-            # as a miss; a fresh run will overwrite it.
-            self.stats.stale += 1
-            return None
-        if self._memory is not None:
-            self._memory[key] = result
-        return result
-
-    def _store(self, key, result):
-        self.directory.mkdir(parents=True, exist_ok=True)
-        payload = {"format": _FORMAT, "key": key, "result": result.to_dict()}
-        # Keep dict insertion order on disk: derived quantities such as
-        # comm_overhead_fraction sum float-valued dicts, and re-summing in a
-        # different key order can shift the last ULP. Insertion order makes
-        # the round trip bit-exact for derived properties too.
-        blob = json.dumps(payload)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(blob)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        if self._memory is not None:
-            self._memory[key] = result
-
-    def clear(self):
-        if self._memory is not None:
-            self._memory.clear()
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-
-    def __contains__(self, key):
-        if self._memory is not None and key in self._memory:
-            return True
-        return self._path(key).is_file()
-
-    def __len__(self):
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
-
-
 _default = None
 
 
@@ -251,8 +153,7 @@ def default_cache():
     :class:`~repro.runtime.SqlitePlanStore` when ``$REPRO_CACHE_DIR``
     is set (so whole benchmark-suite invocations persist their runs
     without any code change, and concurrent server processes share one
-    store safely).  Legacy :class:`DiskCache` JSON entries found in the
-    directory are migrated read-only on first open.
+    store safely).
     """
     global _default
     if _default is None:

@@ -1,17 +1,14 @@
 """Cross-process plan store: sqlite + per-key file locks.
 
-:class:`SqlitePlanStore` replaces the one-JSON-file-per-key
-:class:`~repro.runtime.cache.DiskCache` as the persistent run-result
-cache.  The keys are the same configuration fingerprints
-(:mod:`repro.runtime.fingerprint`) — entries never go stale, any config
-or code change lands on a new key — but the storage contract is
-stronger, which is what a *serving* deployment needs:
+:class:`SqlitePlanStore` is the persistent run-result cache.  The keys
+are configuration fingerprints (:mod:`repro.runtime.fingerprint`) —
+entries never go stale, any config or code change lands on a new key —
+and the storage contract is what a *serving* deployment needs:
 
 * **Atomic concurrent writes.** All entries live in one sqlite
   database (``plans.sqlite`` under the cache directory); sqlite's
   locking makes concurrent ``put`` calls from independent server
-  processes safe, where racing ``os.replace`` writers on a shared JSON
-  tree were last-writer-wins with no exclusion at all.
+  processes safe.
 * **Compile-once across processes.** :meth:`lock` hands out a per-key
   ``flock`` (under ``locks/`` next to the database), so two servers
   warming the same scenario serialize on the key, and the loser of the
@@ -19,14 +16,10 @@ stronger, which is what a *serving* deployment needs:
   advisory and *separate* from sqlite's internal locking: it spans the
   whole check → simulate → store critical section, which can take
   seconds — far too long to hold a database write lock.
-* **Legacy migration.** On first open the store migrates any
-  ``<key>.json`` entries a pre-sqlite cache left in the same directory
-  (read-only — the JSON files are not deleted), so existing cache
-  directories keep their warm plans for one release.
 
-The payload format is unchanged: ``{"format": 1, "key": ...,
-"result": ModelRunResult.to_dict()}``, serialized with dict insertion
-order preserved so derived float quantities round-trip bit-exact.
+Each row's payload is ``{"format": 1, "key": ..., "result":
+ModelRunResult.to_dict()}``, serialized with dict insertion order
+preserved so derived float quantities round-trip bit-exact.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ from repro.sched.planner import ModelRunResult
 
 __all__ = ["SqlitePlanStore"]
 
-#: Payload format shared with the legacy DiskCache entries.
+#: Payload format; bump when the serialized layout changes.
 _FORMAT = 1
 
 #: Database file name under the cache directory.
@@ -61,10 +54,6 @@ CREATE TABLE IF NOT EXISTS plans (
     key     TEXT PRIMARY KEY,
     format  INTEGER NOT NULL,
     payload TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS meta (
-    name  TEXT PRIMARY KEY,
-    value TEXT NOT NULL
 );
 """
 
@@ -93,7 +82,6 @@ class SqlitePlanStore(RunCache):
         self._memory = {} if memory else None
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
-            self._migrate_legacy(conn)
 
     # -- connection -----------------------------------------------------
 
@@ -114,43 +102,6 @@ class SqlitePlanStore(RunCache):
                 yield conn
         finally:
             conn.close()
-
-    # -- legacy JSON migration ------------------------------------------
-
-    def _migrate_legacy(self, conn):
-        """Import pre-sqlite ``<key>.json`` entries, once, read-only.
-
-        Runs inside the schema-creation transaction of first open; the
-        ``legacy_migrated`` marker makes every later open (and every
-        concurrent opener that lost the insert race) skip the scan.
-        The JSON files themselves are left in place — this is the
-        one-release compatibility shim, not a rewrite of the directory.
-        """
-        row = conn.execute(
-            "SELECT value FROM meta WHERE name = 'legacy_migrated'"
-        ).fetchone()
-        if row is not None:
-            return
-        migrated = 0
-        for path in sorted(self.directory.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            if (not isinstance(payload, dict)
-                    or payload.get("format") != _FORMAT
-                    or "key" not in payload or "result" not in payload):
-                continue
-            cursor = conn.execute(
-                "INSERT OR IGNORE INTO plans (key, format, payload) "
-                "VALUES (?, ?, ?)",
-                (payload["key"], _FORMAT, json.dumps(payload)),
-            )
-            migrated += cursor.rowcount
-        conn.execute(
-            "INSERT OR IGNORE INTO meta (name, value) VALUES (?, ?)",
-            ("legacy_migrated", str(migrated)),
-        )
 
     # -- RunCache protocol ----------------------------------------------
 

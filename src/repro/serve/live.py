@@ -37,6 +37,7 @@ from __future__ import annotations
 import asyncio
 import json
 import queue as queue_mod
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -55,6 +56,9 @@ __all__ = ["LiveDriver", "LiveServer", "LiveWorkerPool", "run_live"]
 #: Toy functional parameters used by live workers (laptop-scale).
 _POLY_DEGREE = 128
 _NUM_SCALE_MODULI = 8
+
+#: The route serving each tenant kind.
+_ROUTES = {"cnn": "/v1/infer", "llm": "/v1/generate"}
 
 #: Degree-2 polynomial activation (the square-activation family used
 #: by early FHE CNNs; paper-style non-linear layers are higher degree).
@@ -108,7 +112,7 @@ class _WorkerContext:
 
         np = self._np
         x = np.zeros(self.slots)
-        data = np.asarray(list(values)[: self.slots], dtype=float)
+        data = np.asarray(values, dtype=float)
         x[: data.size] = data
         ct = self._encryptor.encrypt_values(x)
         ct = self._evaluator.rescale(
@@ -144,6 +148,8 @@ class LiveWorkerPool:
     def __init__(self, size=2, seed=7):
         self.size = max(1, int(size))
         self.seed = seed
+        #: input values one request may carry (CKKS packs N/2 slots)
+        self.slots = _POLY_DEGREE // 2
         self.executor = ThreadPoolExecutor(
             max_workers=self.size, thread_name_prefix="ckks-worker")
         self._contexts = queue_mod.Queue()
@@ -385,8 +391,13 @@ class LiveDriver:
         return outcome, future
 
 
-class _BadRequest(ValueError):
-    """A request the HTTP parser rejects with 400 before routing."""
+class _Refused(Exception):
+    """A request answered with an error before it reaches admission."""
+
+    def __init__(self, status, error, **extra):
+        super().__init__(error)
+        self.status = status
+        self.payload = dict(extra, error=error)
 
 
 class LiveServer:
@@ -398,7 +409,8 @@ class LiveServer:
         GET  /v1/scenario  tenants, clusters, precompiled plans
         GET  /metrics      Prometheus text exposition (live counters)
         POST /v1/infer     {"tenant": ..., "values": [...]} -> inference
-                           (CNN tenants only)
+                           (CNN tenants only; ``values`` holds at most
+                           :attr:`LiveWorkerPool.slots` finite numbers)
         POST /v1/generate  {"tenant": ..., "values": [...]} -> chunked
                            NDJSON token stream (LLM tenants only): one
                            chunk per generated token as the modeled
@@ -455,7 +467,7 @@ class LiveServer:
             headers[key.strip().lower()] = value.strip()
         length = headers.get("content-length") or "0"
         if not (length.isascii() and length.isdigit()):
-            raise _BadRequest(f"invalid Content-Length {length!r}")
+            raise _Refused(400, f"invalid Content-Length {length!r}")
         body = await reader.readexactly(int(length))
         return method, path, headers, body
 
@@ -523,31 +535,49 @@ class LiveServer:
         text = writer.render()
         return 200, (text.encode(), "text/plain; version=0.0.4")
 
-    async def _infer(self, body):
+    def _submission(self, body, kind):
+        """Validate a ``/v1/infer`` or ``/v1/generate`` request body.
+
+        Returns ``(tenant, values)`` for a tenant of ``kind``; anything
+        else raises :class:`_Refused` before admission: 400 for a body
+        that is not a JSON object, a tenant of the other kind, or
+        ``values`` that are not at most :attr:`LiveWorkerPool.slots`
+        finite numbers; 404 for an unknown tenant; 503 at max inflight.
+        """
         try:
             doc = json.loads(body.decode() or "{}")
         except ValueError:
-            return 400, {"error": "body must be JSON"}
+            raise _Refused(400, "body must be JSON") from None
+        if not isinstance(doc, dict):
+            raise _Refused(400, "body must be a JSON object")
+        tenants = self.driver.core.tenants
         tenant = doc.get("tenant")
-        if tenant not in self.driver.core.tenants:
-            return 404, {
-                "error": f"unknown tenant {tenant!r}",
-                "tenants": sorted(self.driver.core.tenants),
-            }
-        if self.driver.core.tenants[tenant].kind == "llm":
-            return 400, {
-                "error": f"tenant {tenant!r} is an LLM tenant; "
-                         f"POST /v1/generate to stream tokens",
-            }
+        if not isinstance(tenant, str) or tenant not in tenants:
+            raise _Refused(404, f"unknown tenant {tenant!r}",
+                           tenants=sorted(tenants))
+        spec = tenants[tenant]
+        if spec.kind != kind:
+            raise _Refused(400, f"tenant {tenant!r} is kind "
+                                f"{spec.kind!r}; POST {_ROUTES[spec.kind]}")
         values = doc.get("values", [])
-        if not isinstance(values, list):
-            return 400, {"error": "values must be a list of numbers"}
+        # Finite JSON numbers only: bools, NaN, infinities and ints too
+        # large for a float all fail the bound.
+        if not (isinstance(values, list) and all(
+                type(v) in (int, float) and abs(v) <= sys.float_info.max
+                for v in values)):
+            raise _Refused(400, "values must be a list of finite numbers")
+        slots = self.driver.pool.slots
+        if len(values) > slots:
+            raise _Refused(400, f"values has {len(values)} entries; "
+                                f"a request carries at most {slots}")
         if self.driver.inflight >= self.max_inflight:
             _metric_inc("serve.live.overloaded")
-            return 503, {
-                "error": "server at max inflight",
-                "max_inflight": self.max_inflight,
-            }
+            raise _Refused(503, "server at max inflight",
+                           max_inflight=self.max_inflight)
+        return tenant, values
+
+    async def _infer(self, body):
+        tenant, values = self._submission(body, "cnn")
         outcome, future = self.driver.submit(tenant, values)
         if future is None:
             return 429, {"error": "rejected at admission",
@@ -569,35 +599,11 @@ class LiveServer:
     async def _generate(self, body, writer):
         """Stream one LLM session as chunked NDJSON.
 
-        Returns ``(status, payload)`` for pre-admission errors (the
+        Returns ``(status, payload)`` for an admission rejection (the
         caller writes a plain response), or ``None`` after the token
         stream has been written and the connection closed here.
         """
-        try:
-            doc = json.loads(body.decode() or "{}")
-        except ValueError:
-            return 400, {"error": "body must be JSON"}
-        tenant = doc.get("tenant")
-        if tenant not in self.driver.core.tenants:
-            return 404, {
-                "error": f"unknown tenant {tenant!r}",
-                "tenants": sorted(self.driver.core.tenants),
-            }
-        spec = self.driver.core.tenants[tenant]
-        if spec.kind != "llm":
-            return 400, {
-                "error": f"tenant {tenant!r} is kind {spec.kind!r}; "
-                         f"POST /v1/infer for single inferences",
-            }
-        values = doc.get("values", [])
-        if not isinstance(values, list):
-            return 400, {"error": "values must be a list of numbers"}
-        if self.driver.inflight >= self.max_inflight:
-            _metric_inc("serve.live.overloaded")
-            return 503, {
-                "error": "server at max inflight",
-                "max_inflight": self.max_inflight,
-            }
+        tenant, values = self._submission(body, "llm")
         outcome, request, stream = self.driver.submit_generate(tenant,
                                                                values)
         if stream is None:
@@ -681,8 +687,8 @@ class LiveServer:
                 self.shutdown_event.set()
             else:
                 status, payload = 404, {"error": f"no route {path!r}"}
-        except _BadRequest as exc:
-            status, payload = 400, {"error": str(exc)}
+        except _Refused as exc:
+            status, payload = exc.status, exc.payload
         except (ConnectionError, asyncio.IncompleteReadError):
             writer.close()
             return

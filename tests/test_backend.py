@@ -1,11 +1,17 @@
 """Kernel-provider registry, cache isolation, and backend parity.
 
-The parity classes pin the PR's core claim: every shipped provider is
-**byte-identical** to the reference numpy kernels — not merely congruent.
-Each butterfly stage's outputs are canonically determined by its inputs
-(``u`` exactly reduced, ``v * tw`` reduced by the modular product), so a
-correct provider reproduces the exact ``uint64`` representative at every
-stage.  Tests therefore assert ``np.array_equal``, never ``allclose``.
+The parity classes pin the core claim of the provider seam: every
+provider is **byte-identical** to the reference numpy kernels — not
+merely congruent.  Each butterfly stage's outputs are canonically
+determined by its inputs (``u`` exactly reduced, ``v * tw`` reduced by
+the modular product), so a correct provider reproduces the exact
+``uint64`` representative at every stage.  Tests therefore assert
+``np.array_equal``, never ``allclose``.
+
+numba is optional, so these tests use a second, test-local provider
+(:class:`TwinProvider`) registered through a monkeypatched registry:
+selection, cache isolation, fingerprints, the CLI flag, perf labels and
+ConvBN parity never depend on numba.
 """
 
 import importlib.util
@@ -15,8 +21,6 @@ import pytest
 
 import repro.backend as backend_mod
 from repro.backend import (
-    MAX_FAST_MODULUS_BITS,
-    FastNttKernel,
     KernelProvider,
     NumpyProvider,
     available_backends,
@@ -29,20 +33,43 @@ from repro.backend import (
     resolve_backend_name,
     use_backend,
 )
-from repro.backend.numpy_fast import _float_mulmod
 from repro.math.ntt import NttContext, NttKernel, clear_ntt_caches
 from repro.math.primes import find_ntt_primes
 
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
-needs_numba = pytest.mark.skipif(
-    not HAVE_NUMBA, reason="optional numba package not installed"
-)
+#: Registry name of the test-local provider.
+TWIN = "numpy-twin"
 
 
-def _narrow_primes(degree, count=2):
-    """NTT-friendly primes within the numpy-fast exactness bound."""
-    return find_ntt_primes(degree, MAX_FAST_MODULUS_BITS, count)
+class TwinKernel(NttKernel):
+    """The reference kernel under its own class, to see which provider
+    built it."""
+
+
+class TwinProvider(NumpyProvider):
+    """A second provider with its own caches; overrides only
+    :meth:`make_kernel`, the one hook a real backend replaces."""
+
+    name = TWIN
+
+    def make_kernel(self, poly_degree, moduli):
+        contexts = tuple(self.get_context(poly_degree, q) for q in moduli)
+        return TwinKernel(poly_degree, moduli=moduli, contexts=contexts)
+
+
+@pytest.fixture(autouse=True)
+def twin_registered(monkeypatch):
+    """Register :class:`TwinProvider` for one test, with fresh
+    singletons; the shipped registry is restored afterwards."""
+    registry = backend_mod.registry
+    monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+    monkeypatch.setattr(registry, "_INSTANCES", dict(registry._INSTANCES))
+    register_backend(TwinProvider)
+
+
+def _primes(degree, count=2):
+    return find_ntt_primes(degree, 30, count)
 
 
 def _random_stack(rng, moduli, degree):
@@ -61,7 +88,7 @@ class TestRegistry:
     def test_all_shipped_backends_registered(self):
         names = backend_names()
         assert names[0] == "numpy"
-        assert {"numpy", "numba", "numpy-fast"} <= set(names)
+        assert {"numpy", "numba"} <= set(names)
 
     def test_get_backend_is_a_singleton(self):
         assert get_backend("numpy") is get_backend("numpy")
@@ -104,9 +131,9 @@ class TestSelectionPrecedence:
         assert resolve_backend(None) is get_backend("numpy")
 
     def test_env_var_sets_the_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy-fast")
-        assert default_backend_name() == "numpy-fast"
-        assert resolve_backend_name(None) == "numpy-fast"
+        monkeypatch.setenv("REPRO_BACKEND", TWIN)
+        assert default_backend_name() == TWIN
+        assert resolve_backend_name(None) == TWIN
 
     def test_env_var_must_name_a_registered_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "cuda")
@@ -115,18 +142,18 @@ class TestSelectionPrecedence:
 
     def test_scope_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        with use_backend("numpy-fast"):
-            assert default_backend_name() == "numpy-fast"
+        with use_backend(TWIN):
+            assert default_backend_name() == TWIN
         assert default_backend_name() == "numpy"
 
     def test_scopes_nest_innermost_wins(self):
-        with use_backend("numpy-fast"):
+        with use_backend(TWIN):
             with use_backend("numpy"):
                 assert default_backend_name() == "numpy"
-            assert default_backend_name() == "numpy-fast"
+            assert default_backend_name() == TWIN
 
     def test_explicit_instance_beats_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "numpy-fast")
+        monkeypatch.setenv("REPRO_BACKEND", TWIN)
         provider = get_backend("numpy")
         assert resolve_backend_name(provider) == "numpy"
         assert resolve_backend(provider) is provider
@@ -139,39 +166,33 @@ class TestSelectionPrecedence:
 
 class TestProviderScopedCaches:
     def test_backends_never_share_cached_tables(self):
-        q = _narrow_primes(64, 1)[0]
+        q = _primes(64, 1)[0]
         ref = get_backend("numpy").get_context(64, q)
-        fast = get_backend("numpy-fast").get_context(64, q)
-        assert ref is not fast
+        twin = get_backend(TWIN).get_context(64, q)
+        assert ref is not twin
         assert get_backend("numpy").get_context(64, q) is ref
-        assert get_backend("numpy-fast").get_context(64, q) is fast
+        assert get_backend(TWIN).get_context(64, q) is twin
 
     def test_kernel_class_matches_the_provider(self):
-        q = _narrow_primes(64, 1)[0]
+        q = _primes(64, 1)[0]
         ref = get_backend("numpy").get_kernel(64, (q,))
-        fast = get_backend("numpy-fast").get_kernel(64, (q,))
+        twin = get_backend(TWIN).get_kernel(64, (q,))
         assert type(ref) is NttKernel
-        assert type(fast) is FastNttKernel
-        assert get_backend("numpy-fast").get_context(64, q).kernel is fast
-
-    def test_wide_moduli_fall_back_to_the_exact_kernel(self):
-        wide = find_ntt_primes(64, 30, 1)[0]
-        assert wide.bit_length() > MAX_FAST_MODULUS_BITS
-        kernel = get_backend("numpy-fast").get_kernel(64, (wide,))
-        assert type(kernel) is NttKernel
+        assert type(twin) is TwinKernel
+        assert get_backend(TWIN).get_context(64, q).kernel is twin
 
     def test_clear_caches_empties_every_provider(self):
-        q = _narrow_primes(64, 1)[0]
+        q = _primes(64, 1)[0]
         before = {
             name: get_backend(name).get_context(64, q)
-            for name in ("numpy", "numpy-fast")
+            for name in ("numpy", TWIN)
         }
         clear_caches()
         for name, ctx in before.items():
             assert get_backend(name).get_context(64, q) is not ctx
 
     def test_clear_ntt_caches_is_an_alias(self):
-        q = _narrow_primes(64, 1)[0]
+        q = _primes(64, 1)[0]
         ctx = get_backend("numpy").get_context(64, q)
         clear_ntt_caches()
         assert get_backend("numpy").get_context(64, q) is not ctx
@@ -179,30 +200,30 @@ class TestProviderScopedCaches:
 
 class TestKeywordOnlyConstructors:
     def test_ntt_context_requires_keyword_modulus(self):
-        q = _narrow_primes(64, 1)[0]
+        q = _primes(64, 1)[0]
         with pytest.raises(TypeError):
             NttContext(64, q)
         assert NttContext(64, modulus=q).modulus == q
 
     def test_ntt_kernel_requires_keyword_moduli(self):
-        q = _narrow_primes(64, 1)[0]
+        q = _primes(64, 1)[0]
         with pytest.raises(TypeError):
             NttKernel(64, (q,))
         assert NttKernel(64, moduli=(q,)).moduli == (q,)
 
     def test_kernel_rejects_mismatched_contexts(self):
-        qs = _narrow_primes(64, 2)
+        qs = _primes(64, 2)
         ctx = NttContext(64, modulus=qs[0])
         with pytest.raises(ValueError):
             NttKernel(64, moduli=qs, contexts=(ctx,))
 
 
 # ----------------------------------------------------------------------
-# Byte parity: numpy-fast (and numba when present) vs the reference
+# Byte parity: the twin (and numba when present) vs the reference
 # ----------------------------------------------------------------------
 
 
-PARITY_BACKENDS = ["numpy-fast"] + (["numba"] if HAVE_NUMBA else [])
+PARITY_BACKENDS = [TWIN] + (["numba"] if HAVE_NUMBA else [])
 
 
 @pytest.mark.parametrize("name", PARITY_BACKENDS)
@@ -210,7 +231,7 @@ class TestKernelParity:
     # 512 exercises the transposed two-phase layout; 64 the plain path.
     @pytest.mark.parametrize("degree", [64, 512])
     def test_forward_inverse_negacyclic_byte_identical(self, name, degree):
-        moduli = tuple(_narrow_primes(degree, 2))
+        moduli = tuple(_primes(degree, 2))
         ref = get_backend("numpy").get_kernel(degree, moduli)
         alt = get_backend(name).get_kernel(degree, moduli)
         rng = np.random.default_rng(degree)
@@ -229,48 +250,6 @@ class TestKernelParity:
             alt.negacyclic_multiply(a, b), ref.negacyclic_multiply(a, b)
         )
 
-    def test_batch_variants_byte_identical(self, name):
-        degree = 64
-        moduli = tuple(_narrow_primes(degree, 2))
-        rng = np.random.default_rng(7)
-        data = np.stack(
-            [_random_stack(rng, moduli, degree) for _ in range(3)]
-        )
-        other = np.stack(
-            [_random_stack(rng, moduli, degree) for _ in range(3)]
-        )
-        ref = get_backend("numpy")
-        alt = get_backend(name)
-        fwd = alt.ntt_forward_batch(degree, moduli, data)
-        assert fwd.shape == data.shape
-        assert np.array_equal(
-            fwd, ref.ntt_forward_batch(degree, moduli, data)
-        )
-        assert np.array_equal(
-            alt.ntt_inverse_batch(degree, moduli, data),
-            ref.ntt_inverse_batch(degree, moduli, data),
-        )
-        assert np.array_equal(
-            alt.negacyclic_multiply_batch(degree, moduli, data, other),
-            ref.negacyclic_multiply_batch(degree, moduli, data, other),
-        )
-
-
-class TestFloatMulmodExactness:
-    def test_worst_case_lazy_operands_are_exact(self):
-        """Products of values just under 2q at the widest permitted q."""
-        q = np.uint64((1 << MAX_FAST_MODULUS_BITS) - 39)
-        top = int(2 * q) - 1
-        rng = np.random.default_rng(1)
-        x = rng.integers(top - 1024, top + 1, 4096, dtype=np.uint64)
-        y = rng.integers(top - 1024, top + 1, 4096, dtype=np.uint64)
-        assert np.array_equal(_float_mulmod(x, y, q), x * y % q)
-
-    def test_numpy_fast_reports_available(self):
-        ok, detail = available_backends()["numpy-fast"]
-        assert ok
-        assert str(MAX_FAST_MODULUS_BITS) in detail
-
 
 def _convbn_ciphertext(backend_name):
     """Run one full ConvBN layer under ``backend_name``; return the ct.
@@ -287,8 +266,6 @@ def _convbn_ciphertext(backend_name):
     )
     from repro.ckks.convolution import Conv2d, pack_image
 
-    # Every modulus must clear the numpy-fast precision bound, so the
-    # fast path (not the exact fallback) is what parity exercises.
     params = CkksParameters(
         poly_degree=64,
         first_modulus_bits=24,
@@ -347,7 +324,7 @@ class TestBackendFingerprints:
 
         keys = {
             HydraSystem.hydra_s(backend=name).run_key("resnet18")
-            for name in ("numpy", "numpy-fast", "numba")
+            for name in ("numpy", TWIN, "numba")
         }
         assert len(keys) == 3
 
@@ -356,8 +333,8 @@ class TestBackendFingerprints:
         from repro.runtime import RunRequest
 
         request = RunRequest(benchmark="resnet18", system="Hydra-S",
-                             backend="numpy-fast")
-        system = HydraSystem.named("Hydra-S", backend="numpy-fast")
+                             backend=TWIN)
+        system = HydraSystem.named("Hydra-S", backend=TWIN)
         assert request.key() == system.run_key("resnet18")
         assert request.key() != RunRequest(
             benchmark="resnet18", system="Hydra-S").key()
@@ -404,7 +381,7 @@ class TestCli:
 
         out = _Capture()
         code = main(["run", "-s", "Hydra-S", "-b", "resnet18",
-                     "--no-energy", "--backend", "numpy-fast"], out=out)
+                     "--no-energy", "--backend", TWIN], out=out)
         assert code == 0
         assert "total time" in out.text
 
@@ -421,8 +398,8 @@ class TestPerfSuiteBackend:
         from repro.perf import run_suite, validate_report
 
         report = run_suite(names=["rns.add.n4096x5"], warmup=0, repeats=1,
-                           backend="numpy-fast")
-        assert report["backend"] == "numpy-fast"
-        assert "rns.add.n4096x5@numpy-fast" in report["workloads"]
+                           backend=TWIN)
+        assert report["backend"] == TWIN
+        assert f"rns.add.n4096x5@{TWIN}" in report["workloads"]
         assert "rns.add.n4096x5" not in report["workloads"]
         validate_report(report)

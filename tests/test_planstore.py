@@ -1,6 +1,6 @@
-"""The sqlite plan store: round-trip fidelity, legacy JSON migration,
-and — the part the old DiskCache could not promise — cross-process
-write exclusion and compile-once semantics under concurrent servers."""
+"""The sqlite plan store: round-trip fidelity, stale-entry handling,
+and cross-process write exclusion and compile-once semantics under
+concurrent servers."""
 
 import json
 import os
@@ -14,7 +14,7 @@ import pytest
 import repro
 from repro.hw import hydra_cluster
 from repro.models import resnet18
-from repro.runtime import DiskCache, SqlitePlanStore
+from repro.runtime import SqlitePlanStore
 from repro.sched.planner import Planner
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -99,36 +99,6 @@ class TestSqlitePlanStore:
         with store.lock("a"):
             with store.lock("b"):
                 pass  # distinct keys never deadlock
-
-
-class TestLegacyMigration:
-    def test_json_entries_migrate_read_only(self, tmp_path, result):
-        legacy = DiskCache(tmp_path)
-        legacy.put("old-key", result)
-        json_files = sorted(tmp_path.glob("*.json"))
-        assert json_files
-
-        store = SqlitePlanStore(tmp_path, memory=False)
-        loaded = store.get("old-key")
-        assert loaded is not None
-        assert loaded.total_seconds == result.total_seconds
-        # Read-only shim: the JSON files are still there, untouched.
-        assert sorted(tmp_path.glob("*.json")) == json_files
-
-    def test_migration_runs_once(self, tmp_path, result):
-        DiskCache(tmp_path).put("old-key", result)
-        store = SqlitePlanStore(tmp_path)
-        store.clear()
-        # Legacy files remain on disk, but a cleared store must not
-        # resurrect them on reopen — migration is a one-shot import.
-        assert SqlitePlanStore(tmp_path).get("old-key") is None
-
-    def test_sqlite_wins_over_legacy_for_fresh_puts(self, tmp_path, result):
-        DiskCache(tmp_path).put("k", result)
-        store = SqlitePlanStore(tmp_path, memory=False)
-        assert "k" in store
-        store.put("new-key", result)
-        assert "new-key" in SqlitePlanStore(tmp_path, memory=False)
 
 
 # Two processes hammer the same key (plus private keys) with raw puts;

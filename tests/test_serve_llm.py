@@ -6,8 +6,8 @@ Four layers of coverage for ``kind: llm`` tenants:
   prefill block structure at single-token width;
 * pure bookkeeping — KV level budgets, recharge cadence, and the seeded
   token-count sampler;
-* scenario schema v3 lint — the loader's error vocabulary and the
-  legacy-version gates;
+* scenario schema v3 lint — the loader's error vocabulary, and v1/v2
+  documents refused as unsupported;
 * end-to-end reports — ``repro.serve/v4`` byte-determinism for
   ``llm_mixed`` (in-process and across CLI ``--jobs``/restart/warm-cache
   invocations), the pinned session-affinity result on
@@ -267,21 +267,15 @@ class TestScenarioLint:
                            match="deadline_seconds must be positive"):
             Scenario.from_dict(doc)
 
-    @pytest.mark.parametrize("legacy", ["repro.serve.scenario/v1",
-                                        "repro.serve.scenario/v2"])
-    def test_legacy_schemas_reject_llm_tenants(self, legacy):
-        with pytest.raises(ValueError, match="need scenario schema "
-                                             "'repro.serve.scenario/v3'"):
-            Scenario.from_dict(_scenario_doc(schema=legacy))
-
-    def test_legacy_schemas_reject_session_affinity(self):
-        doc = _scenario_doc(
-            schema="repro.serve.scenario/v2",
-            routing={"mode": "greedy", "session_affinity": False},
-            tenants=[{"name": "cnn", "model": "resnet18"}])
-        with pytest.raises(ValueError,
-                           match="routing.session_affinity"):
-            Scenario.from_dict(doc)
+    def test_legacy_schemas_are_unsupported(self):
+        for legacy in ("repro.serve.scenario/v1",
+                       "repro.serve.scenario/v2"):
+            doc = _scenario_doc(
+                schema=legacy,
+                tenants=[{"name": "cnn", "model": "resnet18"}])
+            with pytest.raises(ValueError,
+                               match="unsupported scenario schema"):
+                Scenario.from_dict(doc)
 
     def test_cnn_tenants_reject_token_specs(self):
         with pytest.raises(ValueError, match="need kind 'llm'"):

@@ -1,9 +1,12 @@
 """Unit tests for repro.serve scenarios, arrivals, and queueing."""
 
 import dataclasses
+import json
+import re
 
 import pytest
 
+from repro.core.cli import main as cli_main
 from repro.serve import (
     AdmissionQueue,
     Request,
@@ -15,8 +18,9 @@ from repro.serve import (
     make_policy,
     percentile,
     resolve_fleet_cluster,
+    validate_scenario_files,
 )
-from repro.serve.scenario import BatchConfig
+from repro.serve.scenario import SCENARIO_SCHEMA, BatchConfig
 
 
 def _tenant(name="t0", **kw):
@@ -94,6 +98,58 @@ class TestScenario:
             _tenant(rate_rps=0.0)
         with pytest.raises(KeyError, match="params preset"):
             _tenant(params="toy")
+
+
+def _scenario_doc(**kw):
+    doc = {
+        "schema": SCENARIO_SCHEMA,
+        "name": "bad",
+        "duration_seconds": 10.0,
+        "seed": 1,
+        "fleets": {"f": ["Hydra-S"]},
+        "tenants": [{"name": "t0", "model": "resnet18"}],
+    }
+    doc.update(kw)
+    return doc
+
+
+#: case -> (fields replaced in a valid document, expected error text)
+MALFORMED = {
+    "batch-unknown-knob": ({"batch": {"max_request": 4}},
+                           "batch: .*'max_request'"),
+    "tenant-is-a-string": ({"tenants": ["cnn"]},
+                           r"tenants\[0\] must be a JSON object"),
+    "fleets-is-a-list": ({"fleets": [["Hydra-S"]]},
+                         "fleets must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+class TestMalformedScenarioFiles:
+    """Malformed documents are a named ValueError, never a traceback."""
+
+    def _write(self, tmp_path, case):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_scenario_doc(**MALFORMED[case][0])),
+                        encoding="utf-8")
+        return path
+
+    def test_from_dict_names_source_and_field(self, case):
+        patch, error = MALFORMED[case]
+        with pytest.raises(ValueError, match=f"^bad.json: {error}"):
+            Scenario.from_dict(_scenario_doc(**patch), source="bad.json")
+
+    def test_serve_prints_error_and_exits_2(self, case, tmp_path):
+        path = self._write(tmp_path, case)
+        lines = []
+        assert cli_main(["serve", str(path)], out=lines.append) == 2
+        assert lines[-1].startswith(f"error: {path}: "), lines
+
+    def test_lint_reports_a_fail_row(self, case, tmp_path):
+        self._write(tmp_path, case)
+        [(name, error)] = validate_scenario_files(tmp_path)
+        assert name == "bad.json"
+        assert re.match(f"bad.json: {MALFORMED[case][1]}", error), error
 
 
 class TestArrivals:
