@@ -45,17 +45,3 @@ def procedure_order(benchmark):
         return ("ConvBN", "ReLU", "Pooling", "FC", "Boot")
     return ("Attention", "FFN", "Norm", "Boot")
 
-
-def perf_workload_fixture(name):
-    """Bridge one :mod:`repro.perf` workload into pytest-benchmark.
-
-    Returns ``(run, state)`` — pass them as
-    ``benchmark(run, state)`` so the harness times exactly the operation
-    ``repro perf run`` times, with the same deterministic inputs.
-    """
-    from repro.perf import get_workload
-
-    workload = get_workload(name)
-    state = workload.setup(workload.seed)
-    workload.run(state)  # warm caches exactly like the perf runner
-    return workload.run, state

@@ -3,7 +3,8 @@
 A full-system reproduction of the HPCA 2025 paper, comprising:
 
 * :mod:`repro.ckks` — a from-scratch functional CKKS implementation
-  (with :mod:`repro.math` and :mod:`repro.poly` underneath);
+  (with :mod:`repro.math`, home of the one numpy NTT, and
+  :mod:`repro.poly` underneath);
 * :mod:`repro.hw`, :mod:`repro.cost` — FPGA card/cluster models and the
   per-operation latency/energy models at the paper's parameters;
 * :mod:`repro.sim` — the discrete-event simulator executing per-card task
@@ -17,9 +18,7 @@ A full-system reproduction of the HPCA 2025 paper, comprising:
   run requests, process-pool fan-out with deterministic merging, the
   persistent fingerprint-keyed result cache, and run manifests;
 * :mod:`repro.analysis` — censuses and table rendering for the
-  experiment harnesses in ``benchmarks/``;
-* :mod:`repro.backend` — pluggable NTT kernel providers (numpy /
-  numba) behind the ring-product hot path.
+  experiment harnesses in ``benchmarks/``.
 """
 
 from repro.core import HydraSystem

@@ -15,18 +15,10 @@ class CkksContext:
     The context is shared by keys, plaintexts and ciphertexts; it provides
     the level → RNS-basis mapping and the Galois-element arithmetic used
     for slot rotations.
-
-    ``backend`` picks the kernel provider executing every NTT/RNS
-    operation under this context: a :class:`repro.backend.KernelProvider`
-    instance, a registry name, or ``None`` for the environment default
-    (``use_backend`` scope > ``$REPRO_BACKEND`` > ``"numpy"``).
     """
 
-    def __init__(self, params: CkksParameters, backend=None):
-        from repro.backend import resolve_backend
-
+    def __init__(self, params: CkksParameters):
         self.params = params
-        self.backend = resolve_backend(backend)
         self.rns = RnsContext.create(
             poly_degree=params.poly_degree,
             first_modulus_bits=params.first_modulus_bits,
@@ -34,7 +26,6 @@ class CkksContext:
             num_scale_moduli=params.num_scale_moduli,
             special_modulus_bits=params.special_modulus_bits,
             num_special_moduli=params.num_special_moduli,
-            backend=self.backend,
         )
         self.encoder = CkksEncoder(params.poly_degree)
         self._galois_cache = {}

@@ -47,7 +47,7 @@ Commands
     ``--perturb OP`` deliberately breaks one modeled count to prove the
     gate fails loudly.
 ``serve SCENARIO [--duration S] [--seed N] [--fleet NAME] [--dispatch M]
-[--policy P] [--jobs N] [--backend B] [--exact] [--json] [--out FILE]
+[--policy P] [--jobs N] [--exact] [--json] [--out FILE]
 [--telemetry-out DIR] [--validate] [--list] [--validate-scenarios]``
     Multi-tenant serving simulation (see :mod:`repro.serve`): seeded
     open-loop arrivals per tenant (Poisson, uniform, diurnal, flash
@@ -83,8 +83,8 @@ Commands
     step and where the bootstrap recharges land (see
     :mod:`repro.llm.session`).
 ``capacity SCENARIO [--shapes S ...] [--max-replicas N] [--jobs N]
-[--backend B] [--seed N] [--duration S] [--json] [--out FILE]
-[--validate] [--golden FILE]``
+[--seed N] [--duration S] [--json] [--out FILE] [--validate]
+[--golden FILE]``
     Capacity planning (see :mod:`repro.serve.capacity`): for each
     candidate cluster shape, binary-search the smallest static replica
     count that holds every SLO tenant's p99 under its deadline, its
@@ -95,11 +95,6 @@ Commands
     checked-in schema; ``--golden FILE`` exits nonzero when the chosen
     fleet or any shape's search outcome differs from the committed
     plan (the CI capacity gate).
-``backend list``
-    Show the registered kernel providers (:mod:`repro.backend`), their
-    availability, and which one the environment resolves to.  ``run``
-    and ``perf run`` accept ``--backend NAME`` to select one; the
-    ``$REPRO_BACKEND`` environment variable sets the process default.
 """
 
 from __future__ import annotations
@@ -136,9 +131,6 @@ def build_parser():
                        help="deployment name (see `list`)")
     run_p.add_argument("-b", "--benchmark", default="resnet18")
     run_p.add_argument("--no-energy", action="store_true")
-    run_p.add_argument("--backend", default=None,
-                       help="kernel provider (see `backend list`; "
-                            "default: $REPRO_BACKEND or numpy)")
 
     bench_p = sub.add_parser(
         "bench", help="full paper grid via the parallel runtime")
@@ -213,10 +205,6 @@ def build_parser():
                           help="timed iterations per workload")
     perf_run.add_argument("--list", action="store_true",
                           help="list suite workloads and exit")
-    perf_run.add_argument("--backend", default=None,
-                          help="kernel provider timing the suite (see "
-                               "`backend list`); non-default providers "
-                               "get '@NAME'-suffixed workload labels")
 
     perf_cmp = perf_sub.add_parser(
         "compare", help="compare two reports; nonzero exit on regression")
@@ -261,9 +249,6 @@ def build_parser():
     serve_p.add_argument("--jobs", type=int, default=1,
                          help="worker processes for service-profile "
                               "planning (cache misses)")
-    serve_p.add_argument("--backend", default=None,
-                         help="kernel provider for service-profile "
-                              "planning (see `repro backend list`)")
     serve_p.add_argument("--exact", action="store_true",
                          help="exact (unbounded-memory) telemetry: "
                               "exact quantiles + full queue-depth series")
@@ -340,9 +325,6 @@ def build_parser():
     capacity_p.add_argument("--jobs", type=int, default=1,
                             help="worker processes for service-profile "
                                  "planning (cache misses)")
-    capacity_p.add_argument("--backend", default=None,
-                            help="kernel provider for service-profile "
-                                 "planning")
     capacity_p.add_argument("--seed", type=int, default=None,
                             help="override the scenario's RNG seed")
     capacity_p.add_argument("--duration", type=float, default=None,
@@ -360,13 +342,6 @@ def build_parser():
                             help="gate against a committed golden plan: "
                                  "exit nonzero when the chosen fleet or "
                                  "any shape outcome differs")
-
-    backend_p = sub.add_parser(
-        "backend", help="kernel-provider registry (repro.backend)")
-    backend_sub = backend_p.add_subparsers(dest="backend_command",
-                                           required=True)
-    backend_sub.add_parser(
-        "list", help="show registered providers and availability")
     return parser
 
 
@@ -377,7 +352,7 @@ def _cmd_list(_args, out):
 
 
 def _cmd_run(args, out):
-    system = HydraSystem.named(args.system, backend=args.backend)
+    system = HydraSystem.named(args.system)
     result = system.run(args.benchmark, with_energy=not args.no_energy)
     out(f"{args.benchmark} on {args.system} "
         f"({system.total_cards} cards)")
@@ -708,8 +683,7 @@ def _cmd_perf(args, out):
                    else DEFAULT_REPEATS)
         try:
             report = run_suite(names=args.workloads, warmup=warmup,
-                               repeats=repeats, progress=out,
-                               backend=args.backend)
+                               repeats=repeats, progress=out)
         except KeyError as exc:
             out(f"error: {exc.args[0]}")
             return 2
@@ -795,8 +769,7 @@ def _cmd_serve(args, out):
                 fleet=args.fleet, warm=args.warm,
                 warm_workers=args.warm_workers,
                 max_inflight=args.max_inflight,
-                time_scale=args.time_scale, jobs=args.jobs,
-                backend=args.backend, out=out)
+                time_scale=args.time_scale, jobs=args.jobs, out=out)
         except (OSError, ValueError, KeyError) as exc:
             out(f"error: {exc}")
             return 2
@@ -805,7 +778,7 @@ def _cmd_serve(args, out):
         report, manifest = run_scenario(
             args.scenario, seed=args.seed, duration=args.duration,
             dispatch=args.dispatch, policy=args.policy, fleet=args.fleet,
-            jobs=args.jobs, backend=args.backend, exact=args.exact,
+            jobs=args.jobs, exact=args.exact,
             recorders=recorders)
     except (OSError, ValueError, KeyError) as exc:
         out(f"error: {exc}")
@@ -845,8 +818,7 @@ def _cmd_capacity(args, out):
         report, manifest = plan_capacity(
             args.scenario, shapes=args.shapes,
             max_replicas=args.max_replicas, jobs=args.jobs,
-            backend=args.backend, seed=args.seed,
-            duration=args.duration)
+            seed=args.seed, duration=args.duration)
     except (OSError, ValueError, KeyError) as exc:
         out(f"error: {exc}")
         return 2
@@ -897,19 +869,6 @@ def _cmd_llm_levels(args, out):
     return 0
 
 
-def _cmd_backend(args, out):
-    from repro.backend import available_backends, default_backend_name
-
-    default = default_backend_name()
-    out(f"{'name':12s} {'available':10s} detail")
-    for name, (ok, detail) in available_backends().items():
-        marker = " *" if name == default else ""
-        out(f"{name:12s} {'yes' if ok else 'no':10s} {detail}{marker}")
-    out(f"default: {default} "
-        f"(override with --backend or $REPRO_BACKEND)")
-    return 0
-
-
 _COMMANDS = {
     "list": _cmd_list,
     "run": _cmd_run,
@@ -925,7 +884,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "llm-levels": _cmd_llm_levels,
     "capacity": _cmd_capacity,
-    "backend": _cmd_backend,
 }
 
 

@@ -18,8 +18,6 @@ modelled quantity never serve each other's results.  By default all
 ``HydraSystem`` instances share the process-wide
 :func:`repro.runtime.default_cache`; pass ``cache=`` to isolate, or use
 :class:`repro.runtime.SqlitePlanStore` for persistence across processes.
-``backend=`` selects the kernel provider (:mod:`repro.backend`) and is
-part of the cache key.
 
 The pre-runtime module-level helpers ``run_benchmark`` /
 ``clear_run_cache`` were removed in 1.2.0; use
@@ -85,23 +83,15 @@ class HydraSystem:
     cache:
         A :class:`repro.runtime.RunCache` for results; None shares the
         process-wide :func:`repro.runtime.default_cache`.
-    backend:
-        Kernel-provider spec (name, instance, or None for the
-        environment default); resolved to its canonical name and folded
-        into every run key, so different backends never share cached
-        results.
     **planner_kwargs:
         Forwarded to :class:`~repro.sched.Planner` (``params``,
         ``calibration``, ``rounds``).
     """
 
-    def __init__(self, cluster, cache=None, backend=None, **planner_kwargs):
-        from repro.backend import resolve_backend_name
-
+    def __init__(self, cluster, cache=None, **planner_kwargs):
         self.cluster = cluster
         self.planner = Planner(cluster, **planner_kwargs)
         self.cache = default_cache() if cache is None else cache
-        self.backend = resolve_backend_name(backend)
 
     # ------------------------------------------------------------------
     # Prototype constructors (paper Section V-A)
@@ -161,7 +151,6 @@ class HydraSystem:
         return _run_key(
             self.cluster, planner.params, planner.calibration,
             planner.rounds, benchmark, with_energy, model=model,
-            backend=self.backend,
         )
 
     def run(self, benchmark, *, with_energy=True, use_cache=True):

@@ -26,10 +26,8 @@ long contiguous runs instead of SIMD-hostile strided pairs.
 residue polynomials with per-limb moduli — the building block
 :class:`~repro.poly.RnsContext` uses to batch limb loops into single
 ndarray ops.  Twiddle tables are shared through the
-:func:`get_ntt_context` / :func:`get_ntt_kernel` factories, which are
-**provider-scoped**: each :class:`repro.backend.KernelProvider` owns
-its own context/kernel caches, so a (degree, modulus) pair is only ever
-tabulated once per provider and backends never share cached tables.
+:func:`get_ntt_context` / :func:`get_ntt_kernel` factories, so a
+(degree, modulus) pair is only ever tabulated once per process.
 """
 
 from __future__ import annotations
@@ -108,23 +106,15 @@ class NttKernel:
     ``reduce_output=False`` returns lazily-reduced values in ``[0, 2q)``
     (cheaper when the caller immediately multiplies pointwise and reduces).
 
-    ``contexts`` (keyword-only, optional) are the per-prime
-    :class:`NttContext` tables to stack; kernel providers pass their own
-    cached contexts here so backends never share twiddle tables.  When
-    omitted, tables come from the default provider's cache.
+    The per-prime twiddle tables come from the shared
+    :func:`get_ntt_context` cache.
     """
 
-    def __init__(self, poly_degree: int, *, moduli, contexts=None):
+    def __init__(self, poly_degree: int, *, moduli):
         self.poly_degree = int(poly_degree)
         self.moduli = tuple(int(q) for q in moduli)
         n = self.poly_degree
-        if contexts is None:
-            contexts = [get_ntt_context(n, q) for q in self.moduli]
-        elif len(contexts) != len(self.moduli):
-            raise ValueError(
-                f"{len(contexts)} contexts given for "
-                f"{len(self.moduli)} moduli"
-            )
+        contexts = [get_ntt_context(n, q) for q in self.moduli]
         self._psi = np.stack([c._psi_rev for c in contexts])
         self._psi_inv = np.stack([c._psi_inv_rev for c in contexts])
         q = np.array(self.moduli, dtype=np.uint64)
@@ -264,15 +254,10 @@ class NttContext:
     convolution, which is exactly the CKKS ring product.
 
     Prefer :func:`get_ntt_context` over direct construction — contexts are
-    immutable, and the factory shares twiddle tables per provider.
-
-    ``provider`` (keyword-only, optional) is the
-    :class:`repro.backend.KernelProvider` that owns this context; when
-    set, the :attr:`kernel` property builds its single-limb kernel
-    through that provider so the kernel class matches the backend.
+    immutable, and the factory shares twiddle tables process-wide.
     """
 
-    def __init__(self, poly_degree: int, *, modulus: int, provider=None):
+    def __init__(self, poly_degree: int, *, modulus: int):
         if poly_degree < 2 or poly_degree & (poly_degree - 1):
             raise ValueError(
                 f"poly_degree must be a power of two >= 2, got {poly_degree}"
@@ -297,22 +282,11 @@ class NttContext:
         self._psi_inv_rev.setflags(write=False)
         self._degree_inv = np.uint64(mod_inverse(poly_degree, modulus))
         self._q = np.uint64(modulus)
-        self._provider = provider
-        self._kernel = None
 
     @property
     def kernel(self) -> NttKernel:
-        """The single-limb kernel running this transform (provider-built)."""
-        if self._kernel is None:
-            if self._provider is not None:
-                self._kernel = self._provider.get_kernel(
-                    self.poly_degree, (self.modulus,)
-                )
-            else:
-                self._kernel = NttKernel(
-                    self.poly_degree, moduli=(self.modulus,), contexts=(self,)
-                )
-        return self._kernel
+        """The shared single-limb kernel running this transform."""
+        return get_ntt_kernel(self.poly_degree, (self.modulus,))
 
     def forward(self, coeffs: np.ndarray) -> np.ndarray:
         """Transform coefficient representation to evaluation representation.
@@ -348,39 +322,36 @@ class NttContext:
         return arr
 
 
-def get_ntt_context(
-    poly_degree: int, modulus: int, backend=None
-) -> NttContext:
-    """Provider-scoped factory for :class:`NttContext` instances.
+_CONTEXTS = {}  # (degree, modulus) -> NttContext
+_KERNELS = {}   # (degree, moduli) -> NttKernel
+
+
+def get_ntt_context(poly_degree: int, modulus: int) -> NttContext:
+    """Shared :class:`NttContext` per ``(degree, modulus)``.
 
     Twiddle-table construction is ``O(N)`` big-int work; before this
     factory every :class:`~repro.poly.RnsContext` rebuilt the tables for
-    every prime.  Two lookups with the same ``(degree, modulus)`` on the
-    same provider return the *same* object; distinct providers never
-    share tables (``backend`` resolves per :mod:`repro.backend`
-    precedence when ``None``).
+    every prime.  Two lookups with the same ``(degree, modulus)`` return
+    the *same* object.
     """
-    from repro.backend import resolve_backend
+    key = (int(poly_degree), int(modulus))
+    ctx = _CONTEXTS.get(key)
+    if ctx is None:
+        ctx = _CONTEXTS[key] = NttContext(key[0], modulus=key[1])
+    return ctx
 
-    return resolve_backend(backend).get_context(
-        int(poly_degree), int(modulus)
-    )
 
-
-def get_ntt_kernel(poly_degree: int, moduli: tuple, backend=None):
-    """Provider-scoped factory for stacked :class:`NttKernel` instances."""
-    from repro.backend import resolve_backend
-
-    return resolve_backend(backend).get_kernel(
-        int(poly_degree), tuple(int(q) for q in moduli)
-    )
+def get_ntt_kernel(poly_degree: int, moduli: tuple) -> NttKernel:
+    """Shared stacked :class:`NttKernel` per ``(degree, moduli)``."""
+    key = (int(poly_degree), tuple(int(q) for q in moduli))
+    kernel = _KERNELS.get(key)
+    if kernel is None:
+        kernel = _KERNELS[key] = NttKernel(key[0], moduli=key[1])
+    return kernel
 
 
 def clear_ntt_caches() -> None:
-    """Drop every provider's memoized contexts/kernels + permutations.
-
-    Alias of :func:`repro.backend.clear_caches` (tests only).
-    """
-    from repro.backend import clear_caches
-
-    clear_caches()
+    """Drop the memoized contexts, kernels and bit-reverse permutations."""
+    _CONTEXTS.clear()
+    _KERNELS.clear()
+    _bit_reverse_cached.cache_clear()

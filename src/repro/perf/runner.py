@@ -104,38 +104,26 @@ def run_workload(workload, warmup=DEFAULT_WARMUP, repeats=DEFAULT_REPEATS):
 
 
 def run_suite(names=None, warmup=DEFAULT_WARMUP, repeats=DEFAULT_REPEATS,
-              progress=None, backend=None):
+              progress=None):
     """Run the pinned suite (or a named subset) and return a report.
 
     The report is the "repro.perf/v1" JSON document that
     :mod:`repro.perf.baseline` stores and compares.
-
-    ``backend`` selects the kernel provider every workload builds its
-    state under (:func:`repro.backend.use_backend` scope).  The default
-    provider keeps the pinned workload labels, so existing baselines
-    compare unchanged; a non-default provider suffixes every label with
-    ``@<name>``, keeping per-backend baselines from ever cross-comparing.
     """
-    from repro.backend import resolve_backend, use_backend
-
-    provider = resolve_backend(backend)
-    suffix = "" if provider.name == "numpy" else f"@{provider.name}"
     if names is None:
         names = tuple(SUITE)
     calibration_ns = calibrate()
     workloads = {}
-    with use_backend(provider):
-        for name in names:
-            workload = get_workload(name)
-            if progress is not None:
-                progress(f"perf: {name}{suffix} ...")
-            workloads[name + suffix] = run_workload(
-                workload, warmup=warmup, repeats=repeats)
+    for name in names:
+        workload = get_workload(name)
+        if progress is not None:
+            progress(f"perf: {name} ...")
+        workloads[name] = run_workload(workload, warmup=warmup,
+                                       repeats=repeats)
     return {
         "schema": "repro.perf/v1",
         "calibration_ns": calibration_ns,
         "warmup": warmup,
         "repeats": repeats,
-        "backend": provider.name,
         "workloads": workloads,
     }

@@ -13,8 +13,7 @@ Element-wise arithmetic (add/sub/negate/scalar-multiply/automorphism)
 is plain numpy over the whole ``(limbs, N)`` stack; the conditional
 subtraction ``np.minimum(x, x - q)`` is the same ``uint64`` wraparound
 trick the NTT butterflies use for lazy reduction.  Only the ring
-products go through the context's kernel provider
-(:class:`repro.backend.KernelProvider`).
+products go through the context's stacked NTT kernels.
 """
 
 from __future__ import annotations

@@ -11,11 +11,8 @@ Limb loops are batched: ring products run through stacked
 single ndarray ops (chunk size bounded by :data:`_CHUNK_ELEMENTS` so the
 working set stays cache-resident at large ``N``), and the per-basis
 constant columns every operation needs are memoized on the context.
-
-All NTT kernels come from the context's
-:class:`repro.backend.KernelProvider` (the ``backend`` constructor
-argument, resolved per the registry precedence), which owns the
-twiddle/kernel caches the context draws from; base conversion is plain
+The kernels themselves come from the process-wide
+:func:`~repro.math.ntt.get_ntt_kernel` cache; base conversion is plain
 numpy here.
 """
 
@@ -23,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import resolve_backend
 from repro.math.modular import mod_inverse
+from repro.math.ntt import get_ntt_context, get_ntt_kernel
 from repro.math.primes import find_ntt_primes
 from repro.obs.metrics import inc as _metric_inc
 
@@ -47,24 +44,17 @@ class RnsContext:
         The ciphertext moduli ``q_0 .. q_L`` (ordered; ``q_0`` first).
     special_moduli:
         The keyswitch extension moduli ``p_0 .. p_{k-1}``.
-    backend:
-        Kernel provider spec (instance, registry name, or ``None`` for
-        the environment default); every NTT context/kernel this chain
-        uses comes from that provider's caches.
     """
 
-    def __init__(self, poly_degree, data_moduli, special_moduli,
-                 backend=None):
+    def __init__(self, poly_degree, data_moduli, special_moduli):
         self.poly_degree = int(poly_degree)
         self.data_moduli = tuple(int(q) for q in data_moduli)
         self.special_moduli = tuple(int(p) for p in special_moduli)
         self.moduli = self.data_moduli + self.special_moduli
         if len(set(self.moduli)) != len(self.moduli):
             raise ValueError("moduli chain contains duplicates")
-        self.backend = resolve_backend(backend)
         self.ntts = tuple(
-            self.backend.get_context(self.poly_degree, q)
-            for q in self.moduli
+            get_ntt_context(self.poly_degree, q) for q in self.moduli
         )
         self.data_indices = tuple(range(len(self.data_moduli)))
         self.special_indices = tuple(
@@ -88,7 +78,6 @@ class RnsContext:
         num_scale_moduli,
         special_modulus_bits=None,
         num_special_moduli=1,
-        backend=None,
     ):
         """Build a chain ``[q_0, scale primes..., special primes...]``.
 
@@ -108,7 +97,7 @@ class RnsContext:
             num_special_moduli,
             exclude=tuple(first) + tuple(scales),
         )
-        return cls(poly_degree, first + scales, specials, backend=backend)
+        return cls(poly_degree, first + scales, specials)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -178,7 +167,7 @@ class RnsContext:
             chunks = []
             for start in range(0, len(basis), step):
                 part = basis[start : start + step]
-                kernel = self.backend.get_kernel(
+                kernel = get_ntt_kernel(
                     self.poly_degree,
                     tuple(self.moduli[i] for i in part),
                 )

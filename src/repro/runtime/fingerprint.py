@@ -88,35 +88,26 @@ def code_fingerprint():
     return _code_digest
 
 
-def config_fingerprint(cluster, params, calibration, rounds,
-                       backend="numpy"):
-    """Digest of one complete simulation configuration.
-
-    ``backend`` is the kernel-provider name the run *requested* (see
-    :func:`repro.backend.resolve_backend_name`); distinct backends can
-    never share a disk-cache entry even when their kernels are
-    byte-identical, because the provider is part of the configuration.
-    """
+def config_fingerprint(cluster, params, calibration, rounds):
+    """Digest of one complete simulation configuration."""
     payload = {
         "cluster": canonicalize(cluster),
         "params": canonicalize(params),
         "calibration": canonicalize(calibration),
         "rounds": rounds,
         "code": code_fingerprint(),
-        "backend": str(backend),
     }
     return _digest(payload)[:16]
 
 
 def run_key(cluster, params, calibration, rounds, benchmark,
-            with_energy, model=None, backend="numpy"):
+            with_energy, model=None):
     """Filename-safe cache key for one (config, benchmark, energy) run.
 
     ``benchmark`` is the workload name.  When a custom
     :class:`~repro.models.ModelGraph` is passed as ``model``, its full
     step structure is folded in, so a hand-built graph never collides
-    with the registered benchmark of the same name.  ``backend`` names
-    the kernel provider and is folded into the config digest.
+    with the registered benchmark of the same name.
     """
     if model is not None:
         model_digest = _digest(canonicalize(model))[:8]
@@ -127,7 +118,6 @@ def run_key(cluster, params, calibration, rounds, benchmark,
         _SAFE.sub("-", cluster.name),
         "e1" if with_energy else "e0",
         model_digest,
-        config_fingerprint(cluster, params, calibration, rounds,
-                           backend=backend),
+        config_fingerprint(cluster, params, calibration, rounds),
     )
     return "-".join(parts)

@@ -40,9 +40,6 @@ class RunRequest:
     params: object = None
     calibration: object = None
     rounds: int = DEFAULT_ROUNDS
-    #: kernel-provider name (None = environment default; folded into
-    #: the cache key so backends never share cached results)
-    backend: str = None
 
     def __post_init__(self):
         if (self.system is None) == (self.cluster is None):
@@ -82,12 +79,6 @@ class RunRequest:
             "rounds": self.rounds,
         }
 
-    def effective_backend(self):
-        """The canonical kernel-provider name this request keys under."""
-        from repro.backend import resolve_backend_name
-
-        return resolve_backend_name(self.backend)
-
     def key(self):
         """Full config fingerprint key for the result cache."""
         return run_key(
@@ -97,7 +88,6 @@ class RunRequest:
             self.rounds,
             self.benchmark,
             self.with_energy,
-            backend=self.effective_backend(),
         )
 
     def build_system(self, cache=None):
@@ -105,7 +95,7 @@ class RunRequest:
         from repro.core.system import HydraSystem
 
         return HydraSystem(self.resolve_cluster(), cache=cache,
-                           backend=self.backend, **self.planner_kwargs())
+                           **self.planner_kwargs())
 
     def execute(self):
         """Simulate uncached; returns the raw ``ModelRunResult``."""

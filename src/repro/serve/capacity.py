@@ -135,14 +135,14 @@ def _min_feasible(check, max_replicas):
 
 
 def plan_capacity(ref, shapes=None, max_replicas=8, jobs=1, cache=None,
-                  use_cache=True, backend=None, seed=None, duration=None):
+                  use_cache=True, seed=None, duration=None):
     """Search the minimum feasible fleet; returns ``(report, manifest)``.
 
     ``ref`` is a scenario path, builtin name, or :class:`Scenario`;
     ``shapes`` the candidate fleet-entry strings (default
     :data:`DEFAULT_SHAPES`); ``max_replicas`` the per-shape search
-    ceiling.  ``jobs`` / ``cache`` / ``use_cache`` / ``backend`` steer
-    profile planning only and never change report bytes.
+    ceiling.  ``jobs`` / ``cache`` / ``use_cache`` steer profile
+    planning only and never change report bytes.
     """
     scenario = ref if isinstance(ref, Scenario) else load_scenario(ref)
     scenario = scenario.override(seed=seed, duration=duration)
@@ -165,8 +165,7 @@ def plan_capacity(ref, shapes=None, max_replicas=8, jobs=1, cache=None,
                                         autoscale=None)
     profiles, manifest = prepare_profiles(plan_scenario, jobs=jobs,
                                           cache=cache,
-                                          use_cache=use_cache,
-                                          backend=backend)
+                                          use_cache=use_cache)
 
     shape_rows = []
     for shape in shapes:

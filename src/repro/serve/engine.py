@@ -58,16 +58,14 @@ def _ciphertext_bytes(params):
 
 
 def prepare_profiles(scenario, fleet_names=None, jobs=1, cache=None,
-                     use_cache=True, backend=None):
+                     use_cache=True):
     """Plan service profiles for every (batch key, cluster) pair.
 
     Distinct pairs become :class:`repro.runtime.RunRequest` instances
     executed through :func:`repro.runtime.execute` — deduplicated,
     fanned out over ``jobs`` workers, and served from the persistent
     result cache on repeat invocations — so a million-request scenario
-    plans each model exactly once per cluster shape.  ``backend``
-    selects the kernel provider used for planning and participates in
-    the cache fingerprint, exactly as ``repro run --backend`` does.
+    plans each model exactly once per cluster shape.
 
     Returns ``(profiles, manifest)`` where ``profiles`` maps
     ``(model, params_name, cluster_name) -> ServiceProfile``.
@@ -108,13 +106,11 @@ def prepare_profiles(scenario, fleet_names=None, jobs=1, cache=None,
                     request = RunRequest(benchmark=model,
                                          system=registry_name,
                                          with_energy=False,
-                                         params=run_params,
-                                         backend=backend)
+                                         params=run_params)
                 else:
                     request = RunRequest(benchmark=model, cluster=spec,
                                          with_energy=False,
-                                         params=run_params,
-                                         backend=backend)
+                                         params=run_params)
                 keys.append((profile_key, spec, params))
                 requests.append(request)
     outcome = execute(requests, jobs=jobs, cache=cache,
@@ -219,16 +215,15 @@ def simulate_fleet(scenario, fleet_name, profiles, exact=False,
 
 def run_scenario(ref, seed=None, duration=None, dispatch=None, policy=None,
                  fleet=None, jobs=1, cache=None, use_cache=True,
-                 backend=None, exact=False, recorders=None):
+                 exact=False, recorders=None):
     """Load, plan and simulate a scenario; returns ``(report, manifest)``.
 
     ``ref`` is a scenario path, a builtin scenario name, or an already
     constructed :class:`~repro.serve.scenario.Scenario`.  ``seed`` /
     ``duration`` / ``dispatch`` / ``policy`` override the scenario file;
-    ``fleet`` restricts the run to one named fleet.  ``jobs``, ``cache``
-    and ``backend`` control service-profile planning through
-    :mod:`repro.runtime`; none affects report bytes (``backend`` affects
-    planned compute times, hence the report — but deterministically).
+    ``fleet`` restricts the run to one named fleet.  ``jobs`` and
+    ``cache`` control service-profile planning through
+    :mod:`repro.runtime`; neither affects report bytes.
     ``exact=True`` switches telemetry to exact (unbounded) aggregation;
     ``recorders``, if given a dict, is filled with each fleet's
     :class:`~repro.obs.FlightRecorder` for event dumps.
@@ -246,8 +241,7 @@ def run_scenario(ref, seed=None, duration=None, dispatch=None, policy=None,
         fleet_names = [fleet]
     profiles, manifest = prepare_profiles(scenario, fleet_names,
                                           jobs=jobs, cache=cache,
-                                          use_cache=use_cache,
-                                          backend=backend)
+                                          use_cache=use_cache)
     fleet_reports = {}
     for name in fleet_names:
         recorder = FlightRecorder(scenario.telemetry.recorder_events)

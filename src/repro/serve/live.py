@@ -64,6 +64,16 @@ _ROUTES = {"cnn": "/v1/infer", "llm": "/v1/generate"}
 #: by early FHE CNNs; paper-style non-linear layers are higher degree).
 _ACTIVATION = (0.0, 0.5, 0.25)
 
+#: Request limits.  A request line or header line longer than
+#: ``_MAX_LINE_BYTES``, or more than ``_MAX_HEADERS`` headers, gets 431;
+#: a declared body over ``_MAX_BODY_BYTES`` gets 413 before any of it is
+#: read (a body carries at most 64 numbers, a few KiB of JSON); a
+#: request not fully read within ``_READ_DEADLINE_S`` seconds gets 408.
+_MAX_LINE_BYTES = 8192
+_MAX_HEADERS = 100
+_MAX_BODY_BYTES = 1 << 20
+_READ_DEADLINE_S = 10.0
+
 
 class _WorkerContext:
     """One warm CKKS context: keys + a two-layer encrypted network."""
@@ -421,7 +431,8 @@ class LiveServer:
 
     Implemented on ``asyncio.start_server`` with connection-per-request
     semantics — enough for curl, load generators, and scrapers without
-    pulling in an HTTP framework.
+    pulling in an HTTP framework.  Every request is read under the
+    module's line, header, body and deadline limits.
     """
 
     def __init__(self, driver, registry, max_inflight=64):
@@ -450,8 +461,16 @@ class LiveServer:
         return head + body
 
     @staticmethod
-    async def _read_request(reader):
-        line = await reader.readline()
+    async def _readline(reader):
+        try:
+            return await reader.readline()
+        except ValueError:  # the line overran the stream's limit
+            raise _Refused(431, f"request line or header line over "
+                                f"{_MAX_LINE_BYTES} bytes") from None
+
+    @classmethod
+    async def _read_request(cls, reader):
+        line = await cls._readline(reader)
         if not line or not line.strip():
             return None
         parts = line.decode("latin-1").split(None, 2)
@@ -460,14 +479,18 @@ class LiveServer:
         method, path = parts[0].upper(), parts[1]
         headers = {}
         while True:
-            raw = await reader.readline()
+            raw = await cls._readline(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
+            if len(headers) == _MAX_HEADERS:
+                raise _Refused(431, f"more than {_MAX_HEADERS} headers")
             key, _, value = raw.decode("latin-1").partition(":")
             headers[key.strip().lower()] = value.strip()
         length = headers.get("content-length") or "0"
         if not (length.isascii() and length.isdigit()):
             raise _Refused(400, f"invalid Content-Length {length!r}")
+        if int(length) > _MAX_BODY_BYTES:
+            raise _Refused(413, f"body over {_MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(int(length))
         return method, path, headers, body
 
@@ -664,7 +687,12 @@ class LiveServer:
     async def _handle(self, reader, writer):
         status, payload, content_type = 500, {"error": "internal"}, None
         try:
-            parsed = await self._read_request(reader)
+            try:
+                parsed = await asyncio.wait_for(self._read_request(reader),
+                                                _READ_DEADLINE_S)
+            except asyncio.TimeoutError:
+                raise _Refused(408, f"request not read within "
+                                    f"{_READ_DEADLINE_S:g} s") from None
             if parsed is None:
                 writer.close()
                 return
@@ -701,10 +729,16 @@ class LiveServer:
         except ConnectionError:
             pass
 
-    async def serve(self, host, port):
-        """Bind and serve until ``/v1/shutdown`` (or cancellation)."""
-        self._server = await asyncio.start_server(self._handle, host,
-                                                  port)
+    async def serve(self, host, port, ready=None):
+        """Bind and serve until ``/v1/shutdown`` (or cancellation).
+
+        ``ready``, if given, is called with this server once the socket
+        is listening.
+        """
+        self._server = await asyncio.start_server(
+            self._handle, host, port, limit=_MAX_LINE_BYTES)
+        if ready is not None:
+            ready(self)
         try:
             await self.shutdown_event.wait()
         finally:
@@ -718,8 +752,7 @@ class LiveServer:
 
 def run_live(ref, host="127.0.0.1", port=8377, fleet=None, warm=False,
              warm_workers=2, max_inflight=64, time_scale=1.0, jobs=1,
-             cache=None, use_cache=True, backend=None, out=print,
-             ready=None):
+             cache=None, use_cache=True, out=print, ready=None):
     """Boot the live serving runtime; blocks until shutdown.
 
     Plans are precompiled for every tenant in the scenario through the
@@ -740,7 +773,7 @@ def run_live(ref, host="127.0.0.1", port=8377, fleet=None, warm=False,
         f"(fleet {fleet_name!r}) ...")
     profiles, manifest = prepare_profiles(
         scenario, [fleet_name], jobs=jobs, cache=cache,
-        use_cache=use_cache, backend=backend)
+        use_cache=use_cache)
     out(f"plans ready: {manifest.summary()}")
     pool = LiveWorkerPool(size=warm_workers)
     if warm:
@@ -753,21 +786,17 @@ def run_live(ref, host="127.0.0.1", port=8377, fleet=None, warm=False,
                         time_scale=time_scale)
     server = LiveServer(driver, registry, max_inflight=max_inflight)
 
-    async def _main():
-        loop = asyncio.get_running_loop()
-        driver.start(loop)
-        bind = asyncio.ensure_future(
-            asyncio.start_server(server._handle, host, port))
-        server._server = await bind
-        out(f"live serving on http://{host}:{server.port}  "
+    def _listening(bound):
+        out(f"live serving on http://{host}:{bound.port}  "
             f"(tenants: {', '.join(sorted(driver.core.tenants))})")
         if ready is not None:
-            ready(server)
+            ready(bound)
+
+    async def _main():
+        driver.start(asyncio.get_running_loop())
         try:
-            await server.shutdown_event.wait()
+            await server.serve(host, port, ready=_listening)
         finally:
-            server._server.close()
-            await server._server.wait_closed()
             driver.stop()
 
     previous = set_registry(registry)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.obs.prom import PromWriter
+from repro.obs.prom import PromWriter, _parse_label_key
 
 __all__ = ["serve_prom_text", "write_telemetry"]
 
@@ -34,17 +34,6 @@ _COUNTER_HELP = {
     "serve.scale_up": "Elastic replicas added by the autoscaler",
     "serve.scale_down": "Elastic replicas retired by the autoscaler",
 }
-
-
-def _parse_label_key(key):
-    if not key:
-        return {}
-    labels = {}
-    for part in key.split(","):
-        if "=" in part:
-            k, v = part.split("=", 1)
-            labels[k] = v
-    return labels
 
 
 def serve_prom_text(report, prefix="repro_"):

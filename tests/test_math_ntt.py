@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.math.ntt import NttContext, bit_reverse_permutation
+from repro.math.ntt import (
+    NttContext,
+    NttKernel,
+    bit_reverse_permutation,
+    clear_ntt_caches,
+    get_ntt_context,
+    get_ntt_kernel,
+)
 from repro.math.primes import find_ntt_primes
 
 
@@ -95,3 +102,31 @@ class TestNttValidation:
         ctx = NttContext(64, modulus=q)
         with pytest.raises(ValueError):
             ctx.forward(np.zeros(32, dtype=np.uint64))
+
+
+class TestKeywordOnlyConstructors:
+    def test_ntt_context_requires_keyword_modulus(self):
+        q = find_ntt_primes(64, 30, 1)[0]
+        with pytest.raises(TypeError):
+            NttContext(64, q)
+        assert NttContext(64, modulus=q).modulus == q
+
+    def test_ntt_kernel_requires_keyword_moduli(self):
+        q = find_ntt_primes(64, 30, 1)[0]
+        with pytest.raises(TypeError):
+            NttKernel(64, (q,))
+        assert NttKernel(64, moduli=(q,)).moduli == (q,)
+
+
+class TestSharedCaches:
+    def test_context_kernel_is_the_shared_kernel(self):
+        q = find_ntt_primes(64, 30, 1)[0]
+        assert get_ntt_context(64, q).kernel is get_ntt_kernel(64, (q,))
+
+    def test_clear_ntt_caches_yields_new_objects(self):
+        q = find_ntt_primes(64, 30, 1)[0]
+        ctx = get_ntt_context(64, q)
+        kernel = get_ntt_kernel(64, (q,))
+        clear_ntt_caches()
+        assert get_ntt_context(64, q) is not ctx
+        assert get_ntt_kernel(64, (q,)) is not kernel

@@ -1,10 +1,15 @@
-"""Malformed request bodies against the live HTTP routes, over raw sockets.
+"""Malformed and oversized requests against the live HTTP server, over
+raw sockets.
 
 Both request routes share one body parser, which must answer every bad
 body with a status line *before* admission: a JSON body that is not an
 object, a tenant that is not a string, and ``values`` entries that are
-not finite numbers or overflow the worker's slot count.  After each bad
-request the server must still answer a valid ``/v1/infer`` with 200.
+not finite numbers or overflow the worker's slot count.  Every request
+is also read under fixed limits: an over-long request or header line
+and too many headers get 431, a declared body over the cap gets 413
+before any of it is read, and a request that stalls gets 408 at the
+read deadline.  After each bad request the server must still answer a
+valid ``/v1/infer`` with 200.
 
 The server runs on planned-profile stand-ins (as in
 ``tests/test_serve_live.py``'s driver tests), so no planning happens and
@@ -20,6 +25,7 @@ import time
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.serve import live as live_module
 from repro.serve import (
     LiveDriver,
     LiveServer,
@@ -97,18 +103,23 @@ def live():
     pool.shutdown()
 
 
-def _post(port, path, body):
-    """POST raw ``body`` bytes; ``(status, reply body)`` after EOF."""
+def _exchange(port, request):
+    """Send raw ``request`` bytes; ``(status, reply body)`` after EOF."""
     with socket.create_connection(("127.0.0.1", port), timeout=60) as sock:
-        sock.sendall(
-            f"POST {path} HTTP/1.1\r\nHost: x\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n".encode() + body)
+        sock.sendall(request)
         reply = b""
         while chunk := sock.recv(4096):  # EOF ends the loop
             reply += chunk
     head, _, payload = reply.partition(b"\r\n\r\n")
     assert head.startswith(b"HTTP/1.1 "), f"no status line: {reply!r}"
     return int(head.split()[1]), payload
+
+
+def _post(port, path, body):
+    """POST raw ``body`` bytes; ``(status, reply body)`` after EOF."""
+    return _exchange(port, f"POST {path} HTTP/1.1\r\nHost: x\r\n"
+                           f"Content-Length: {len(body)}\r\n\r\n".encode()
+                     + body)
 
 
 def _valid_infer(port, values=(0.1, -0.2, 0.3)):
@@ -164,3 +175,70 @@ def test_a_full_slot_vector_is_served(live):
     doc = json.loads(payload)
     assert doc["outputs"] == pytest.approx(doc["plaintext_reference"],
                                            abs=1e-3)
+
+
+_LINE = live_module._MAX_LINE_BYTES
+
+#: case -> (raw request, expected status)
+OVER_LIMIT = {
+    "long-request-line": (
+        b"GET /" + b"a" * _LINE + b" HTTP/1.1\r\n\r\n", 431),
+    "long-header-line": (
+        b"POST /v1/infer HTTP/1.1\r\nX-Pad: " + b"a" * _LINE
+        + b"\r\nContent-Length: 0\r\n\r\n", 431),
+    "too-many-headers": (
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-H%d: v\r\n" % i
+                   for i in range(live_module._MAX_HEADERS + 1))
+        + b"\r\n", 431),
+    "body-over-the-cap": (
+        b"POST /v1/infer HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        % (live_module._MAX_BODY_BYTES + 1), 413),
+    "terabyte-content-length": (
+        b"POST /v1/infer HTTP/1.1\r\n"
+        b"Content-Length: 1000000000000\r\n\r\n", 413),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_LIMIT))
+def test_over_limit_request_is_refused_and_server_survives(live, case):
+    port, _ = live
+    request, expected = OVER_LIMIT[case]
+    status, payload = _exchange(port, request)
+    assert status == expected, payload
+    assert "error" in json.loads(payload)
+    status, payload = _valid_infer(port)
+    assert status == 200, payload
+
+
+def test_lines_and_headers_under_the_caps_are_served(live):
+    port, _ = live
+    body = json.dumps({"tenant": "demo", "values": [0.1]}).encode()
+    pad = b"a" * (_LINE - 16)
+    headers = b"".join(b"X-H%d: v\r\n" % i
+                       for i in range(live_module._MAX_HEADERS - 2))
+    status, payload = _exchange(
+        port, b"POST /v1/infer HTTP/1.1\r\nX-Pad: " + pad + b"\r\n"
+        + headers + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+    assert status == 200, payload
+
+
+#: case -> bytes a client sends before going quiet
+STALLED = {
+    "nothing": b"",
+    "request-line-only": b"POST /v1/infer HTTP/1.1\r\n",
+    "short-body": (b"POST /v1/infer HTTP/1.1\r\n"
+                   b"Content-Length: 10\r\n\r\n{}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALLED))
+def test_stalled_request_times_out_and_server_survives(live, monkeypatch,
+                                                       case):
+    port, _ = live
+    monkeypatch.setattr(live_module, "_READ_DEADLINE_S", 0.5)
+    status, payload = _exchange(port, STALLED[case])
+    assert status == 408, payload
+    assert "error" in json.loads(payload)
+    status, payload = _valid_infer(port)
+    assert status == 200, payload

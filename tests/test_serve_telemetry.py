@@ -2,8 +2,8 @@
 
 Pins the ISSUE's acceptance properties: streamed quantiles stay within
 the documented error bound of the exact report, engine memory stays
-bounded however long the horizon, ``--telemetry-out`` lands the three
-artifacts, and ``--backend`` participates in the planning fingerprint.
+bounded however long the horizon, and ``--telemetry-out`` lands the
+three artifacts.
 """
 
 import json
@@ -19,7 +19,7 @@ from repro.serve import (
     simulate_fleet,
     write_telemetry,
 )
-from repro.serve.engine import SimDriver, prepare_profiles
+from repro.serve.engine import SimDriver
 from repro.serve.report import build_report
 from repro.serve.scenario import BatchConfig, Overheads, TelemetryConfig
 
@@ -191,40 +191,3 @@ class TestTelemetryExport:
         prom = serve_prom_text(report)
         assert "repro_serve_slo_burn_rate" in prom
         assert 'tenant="hot"' in prom
-
-
-class TestBackendThreading:
-    def test_prepare_profiles_threads_backend(self, monkeypatch):
-        captured = []
-
-        class _FakeResult:
-            total_seconds = 1.0
-
-        class _FakeRun:
-            result = _FakeResult()
-            cache_hit = False
-
-        class _FakeOutcome(list):
-            manifest = {"fake": True}
-
-        import repro.runtime as runtime
-
-        def fake_execute(requests, **_kw):
-            captured.extend(requests)
-            return _FakeOutcome(_FakeRun() for _ in requests)
-
-        monkeypatch.setattr(runtime, "execute", fake_execute)
-        scenario = _scenario()
-        profiles, manifest = prepare_profiles(scenario, backend="numba")
-        assert profiles and manifest == {"fake": True}
-        assert captured and all(r.backend == "numba" for r in captured)
-
-    def test_backend_changes_the_cache_key(self):
-        from repro.runtime import RunRequest
-
-        keys = {
-            RunRequest(benchmark="resnet18", system="Hydra-S",
-                       with_energy=False, backend=name).key()
-            for name in ("numpy", "numba")
-        }
-        assert len(keys) == 2
