@@ -90,10 +90,11 @@ class Conv2d:
     def apply(self, ct: Ciphertext, evaluator, galois_keys) -> Ciphertext:
         """Convolve the encrypted feature map; returns a rescaled ct."""
         scale = evaluator.context.params.scale
+        shifted = evaluator.rotate_many(
+            ct, [offset for offset, _ in self._taps], galois_keys)
         acc = None
-        for offset, weight in self._taps:
-            shifted = evaluator.rotate(ct, offset, galois_keys)
-            term = evaluator.multiply_const(shifted, weight, scale=scale)
+        for rotated, (_, weight) in zip(shifted, self._taps):
+            term = evaluator.multiply_const(rotated, weight, scale=scale)
             acc = term if acc is None else evaluator.add(acc, term)
         if acc is None:
             raise ValueError("kernel has no non-zero taps")

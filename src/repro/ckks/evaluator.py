@@ -5,6 +5,15 @@ and validates scale/basis compatibility, mirroring the bookkeeping Hydra's
 host scheduler performs before emitting task instructions.  The operation
 vocabulary (HAdd, PMult, CMult, Rescale, Keyswitch, Rotation) is exactly
 the one the paper's Table I counts.
+
+Ring products run in evaluation (NTT) form.  Switch keys are cached there,
+once per extended basis; a keyswitch transforms its digits in one stacked
+pass, multiply-accumulates them pointwise against both key halves, and
+inverse-transforms the two sums before the mod-down.  Rotations of one
+ciphertext share a single digit decomposition of ``c1`` (Halevi–Shoup
+hoisting), because in evaluation form ``X -> X**g`` is an index map that
+commutes with the digit lift.  Every product is exact mod ``q``, so the
+output bytes are those of the coefficient-domain algorithm.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from repro.ckks.ciphertext import Ciphertext, Plaintext
 from repro.ir import FheOp, record_op
 from repro.obs.metrics import inc as _metric_inc
 from repro.obs.metrics import observe as _metric_observe
-from repro.poly import RnsPoly
+from repro.poly import RnsPoly, automorphism_evaluation
 
 __all__ = ["Evaluator"]
 
@@ -34,10 +43,11 @@ class Evaluator:
 
     def __init__(self, context):
         self.context = context
-        # Memoized switch-key projections onto extended bases, keyed by
-        # (id(key), basis).  The key object itself is stored alongside the
-        # projection so its id can never be recycled while cached.
-        self._switch_projections = {}
+        # Switch keys projected onto extended bases in evaluation form,
+        # keyed by (id(key), basis).  The key object itself is stored
+        # alongside the projection so its id can never be recycled while
+        # cached.
+        self._switch_forms = {}
 
     # ------------------------------------------------------------------
     # Scale / basis plumbing
@@ -121,15 +131,13 @@ class Evaluator:
 
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Plaintext-ciphertext multiplication (paper op: PMult)."""
-        record_op(FheOp.PMULT, level=ct.level)
         poly = pt.poly
         if poly.basis != ct.basis:
             poly = poly.keep_basis(ct.basis)
-        return Ciphertext(
-            c0=ct.c0.multiply(poly),
-            c1=ct.c1.multiply(poly),
-            scale=ct.scale * pt.scale,
-        )
+        plain = self.context.rns.ntt_forward(poly.data[None], ct.basis)
+        return self.multiply_plain_sums(
+            [(self.to_evaluation([ct]), plain)],
+            ct.basis, ct.scale * pt.scale)[0]
 
     def multiply_const(self, ct: Ciphertext, value, scale=None) -> Ciphertext:
         """Multiply every slot by a scalar constant (PMult by a constant)."""
@@ -139,16 +147,28 @@ class Evaluator:
         return self.multiply_plain(ct, pt)
 
     def multiply(self, ct_a, ct_b, relin_key) -> Ciphertext:
-        """Ciphertext-ciphertext multiplication with relinearization (CMult)."""
+        """Ciphertext-ciphertext multiplication with relinearization (CMult).
+
+        Each operand is transformed once (one pass for a square), and the
+        three tensor components share one inverse pass.
+        """
         ct_a, ct_b = self._align(ct_a, ct_b)
         record_op(FheOp.CMULT, level=ct_a.level)
-        d0 = ct_a.c0.multiply(ct_b.c0)
-        d1 = ct_a.c0.multiply(ct_b.c1).add(ct_a.c1.multiply(ct_b.c0))
-        d2 = ct_a.c1.multiply(ct_b.c1)
-        p0, p1 = self._key_switch(d2, relin_key)
+        rns = self.context.rns
+        basis = ct_a.basis
+        if ct_b is ct_a:
+            a0, a1 = b0, b1 = self.to_evaluation([ct_a])[0]
+        else:
+            (a0, a1), (b0, b1) = self.to_evaluation([ct_a, ct_b])
+        q = rns.moduli_column(basis)
+        cross = a0 * b1 % q + a1 * b0 % q
+        d0, d1, d2 = rns.ntt_inverse(
+            np.stack([a0 * b0 % q, np.minimum(cross, cross - q),
+                      a1 * b1 % q]), basis)
+        p0, p1 = self._key_switch(self._digits(d2, basis), relin_key, basis)
         return Ciphertext(
-            c0=d0.add(p0),
-            c1=d1.add(p1),
+            c0=RnsPoly(rns, d0, basis).add(p0),
+            c1=RnsPoly(rns, d1, basis).add(p1),
             scale=ct_a.scale * ct_b.scale,
         )
 
@@ -193,11 +213,32 @@ class Evaluator:
 
         Rotation = automorphism (index wiring in hardware) + keyswitch.
         """
-        if steps % self.context.params.slot_count == 0:
-            return ct
-        record_op(FheOp.ROTATION, level=ct.level)
-        g = self.context.galois_element_for_step(steps)
-        return self.apply_galois(ct, g, galois_keys.key_for(g))
+        return self.rotate_many(ct, (steps,), galois_keys)[0]
+
+    def rotate_many(self, ct: Ciphertext, steps, galois_keys):
+        """Rotate ``ct`` by each entry of ``steps``; one result per entry.
+
+        Halevi–Shoup hoisting: ``c1`` is decomposed into digits and
+        transformed once, and every rotation permutes those digits in
+        evaluation form before its own key product and mod-down.  Each
+        non-trivial entry still records one Rotation and one Keyswitch at
+        ``ct``'s level; a step that is a multiple of the slot count
+        returns ``ct`` itself, as :meth:`rotate` always has.
+        """
+        n = self.context.params.slot_count
+        digits = None
+        out = []
+        for step in steps:
+            if step % n == 0:
+                out.append(ct)
+                continue
+            record_op(FheOp.ROTATION, level=ct.level)
+            g = self.context.galois_element_for_step(step)
+            key = galois_keys.key_for(g)
+            if digits is None:
+                digits = self._digits(ct.c1.data, ct.basis)
+            out.append(self._galois_switch(ct, digits, g, key))
+        return out
 
     def conjugate(self, ct: Ciphertext, galois_keys) -> Ciphertext:
         """Complex-conjugate every slot."""
@@ -207,47 +248,114 @@ class Evaluator:
 
     def apply_galois(self, ct: Ciphertext, galois_element, switch_key):
         """Apply ``X -> X**g`` and switch back to the canonical secret."""
+        digits = self._digits(ct.c1.data, ct.basis)
+        return self._galois_switch(ct, digits, galois_element, switch_key)
+
+    def _galois_switch(self, ct, digits, galois_element, switch_key):
+        """``tau_g(ct)`` switched to ``s``, from ``c1``'s evaluation digits."""
+        p0, p1 = self._key_switch(
+            automorphism_evaluation(digits, galois_element), switch_key,
+            ct.basis)
         tc0 = ct.c0.automorphism(galois_element)
-        tc1 = ct.c1.automorphism(galois_element)
-        p0, p1 = self._key_switch(tc1, switch_key)
         return Ciphertext(c0=tc0.add(p0), c1=p1, scale=ct.scale)
+
+    # ------------------------------------------------------------------
+    # Evaluation form
+    # ------------------------------------------------------------------
+
+    def to_evaluation(self, cts):
+        """``(len(cts), 2, limbs, N)`` evaluation forms, one stacked pass.
+
+        All ciphertexts must share one basis.
+        """
+        basis = cts[0].basis
+        data = np.stack([np.stack([ct.c0.data, ct.c1.data]) for ct in cts])
+        return self.context.rns.ntt_forward(data, basis)
+
+    def multiply_plain_sums(self, groups, basis, scale):
+        """Sums of ciphertext-plaintext products, one ciphertext per group.
+
+        Each group is a pair ``(forms, plains)``: a ``(k, 2, limbs, N)``
+        stack of ciphertexts in evaluation form (:meth:`to_evaluation`)
+        and the matching ``(k, limbs, N)`` plaintexts in evaluation form,
+        all over ``basis`` and multiplying to ``scale``.  Groups are read
+        once, so a generator keeps only one group's stack alive.  A
+        group's sum is accumulated pointwise, and all the sums share one
+        inverse pass.  Op accounting is that of ``k`` :meth:`multiply_plain`
+        and ``k - 1`` :meth:`add` calls per group.
+        """
+        rns = self.context.rns
+        level = len(basis) - 1
+        q = rns.moduli_column(basis)
+        sums = []
+        for forms, plains in groups:
+            k = len(plains)
+            record_op(FheOp.PMULT, level=level, count=k)
+            if k > 1:
+                record_op(FheOp.HADD, level=level, count=k - 1)
+            sums.append((forms * plains[:, None] % q).sum(axis=0) % q)
+        coeffs = rns.ntt_inverse(np.stack(sums), basis)
+        return [
+            Ciphertext(c0=RnsPoly(rns, c0, basis), c1=RnsPoly(rns, c1, basis),
+                       scale=scale)
+            for c0, c1 in coeffs
+        ]
 
     # ------------------------------------------------------------------
     # Keyswitching core
     # ------------------------------------------------------------------
 
-    def _key_switch(self, d: RnsPoly, switch_key):
-        """Switch polynomial ``d`` (multiplying some ``s'``) to secret ``s``.
+    def _digits(self, data, basis):
+        """Evaluation-form digits of a coefficient-form stack over ``basis``.
 
-        Per-limb digit decomposition: limb ``i`` of ``d`` is base-extended
-        to the ``Q_l ∪ P`` basis, multiplied into switching-key pair ``i``,
-        accumulated, and the sum is divided by ``P`` (mod-down).
+        Digit ``i`` is the centered lift of limb ``i`` reduced modulo every
+        modulus of the extended basis ``basis + P`` — what single-limb HPS
+        base extension computes, exactly, since a one-limb source needs no
+        overflow estimate.  The result has shape ``(limbs, limbs + k, N)``
+        and all digits go through one stacked forward NTT.  The centered
+        lift is odd (``q`` is odd), so it commutes with ``X -> X**g``:
+        permuting these digits is the decomposition of ``tau_g(d)``.
         """
-        record_op(FheOp.KEYSWITCH, level=len(d.basis) - 1)
         rns = self.context.rns
-        data_basis = d.basis
+        ext_basis = basis + rns.special_indices
+        q = rns.moduli_column(basis).astype(np.int64)
+        x = data.astype(np.int64)
+        centered = np.where(x > q // 2, x - q, x)
+        ext_q = rns.moduli_column(ext_basis).astype(np.int64)
+        lifted = (centered[:, None, :] % ext_q).astype(np.uint64)
+        return rns.ntt_forward(lifted, ext_basis)
+
+    def _key_switch(self, digits, switch_key, basis):
+        """Switch a polynomial (given by its digits) from ``s'`` to ``s``.
+
+        ``digits`` come from :meth:`_digits`.  Each is multiplied into its
+        switching-key pair pointwise, the products are accumulated, the two
+        sums are inverse-transformed together, and the result is divided
+        by ``P`` (mod-down).
+        """
+        record_op(FheOp.KEYSWITCH, level=len(basis) - 1)
+        rns = self.context.rns
         special = rns.special_indices
-        ext_basis = data_basis + special
-        pairs = self._projected_pairs(switch_key, data_basis, ext_basis)
-        acc0 = RnsPoly.zeros(rns, ext_basis)
-        acc1 = RnsPoly.zeros(rns, ext_basis)
-        for row, idx in enumerate(data_basis):
-            d_i = self._extend_single_limb(d, row, idx, ext_basis)
-            k0, k1 = pairs[idx]
-            acc0 = acc0.add(d_i.multiply(k0))
-            acc1 = acc1.add(d_i.multiply(k1))
-        return acc0.mod_down_by(special), acc1.mod_down_by(special)
+        ext_basis = basis + special
+        keys = self._projected_pairs(switch_key, basis, ext_basis)
+        q = rns.moduli_column(ext_basis)
+        acc = (keys * digits % q).sum(axis=1) % q
+        acc0, acc1 = rns.ntt_inverse(acc, ext_basis)
+        return (RnsPoly(rns, acc0, ext_basis).mod_down_by(special),
+                RnsPoly(rns, acc1, ext_basis).mod_down_by(special))
 
     def _projected_pairs(self, switch_key, data_basis, ext_basis):
-        """Switch-key pairs projected onto ``ext_basis`` (memoized).
+        """Switch-key pairs on ``ext_basis`` in evaluation form (memoized).
 
-        Every keyswitch at the same level re-projects the same key
-        polynomials onto the same extended basis; caching the projection
-        turns that per-call copy into a dictionary lookup.  Only the pairs
-        named by ``data_basis`` are projected.
+        Returns a ``(2, len(data_basis), len(ext_basis), N)`` array: both
+        halves of the pairs named by ``data_basis``, projected onto
+        ``ext_basis`` and transformed in one stacked pass.  Every keyswitch
+        at the same level reuses it, so the key never re-enters an NTT.
+        The cache holds derived data only; keys are stored and serialized
+        in coefficient form.
         """
         cache_key = (id(switch_key), ext_basis)
-        cached = self._switch_projections.get(cache_key)
+        cached = self._switch_forms.get(cache_key)
         if cached is not None:
             return cached[1]
         for idx in data_basis:
@@ -256,33 +364,16 @@ class Evaluator:
                     f"switch key has {len(switch_key.pairs)} limb pairs, "
                     f"needs index {idx}"
                 )
-        pairs = {
-            idx: (
-                switch_key.pairs[idx][0].keep_basis(ext_basis),
-                switch_key.pairs[idx][1].keep_basis(ext_basis),
-            )
-            for idx in data_basis
-        }
-        if len(self._switch_projections) >= 256:
-            self._switch_projections.clear()
-        self._switch_projections[cache_key] = (switch_key, pairs)
-        return pairs
-
-    def _extend_single_limb(self, d, row, idx, ext_basis):
-        """Spread limb ``row`` of ``d`` across ``ext_basis`` (digit mod-up)."""
-        rns = self.context.rns
-        single = d.data[row : row + 1]
-        out = np.empty((len(ext_basis), rns.poly_degree), dtype=np.uint64)
-        others = [j for j in ext_basis if j != idx]
-        converted = rns.base_convert(single, (idx,), others)
-        pos = 0
-        for slot, j in enumerate(ext_basis):
-            if j == idx:
-                out[slot] = single[0]
-            else:
-                out[slot] = converted[pos]
-                pos += 1
-        return RnsPoly(rns, out, ext_basis)
+        coeffs = np.stack([
+            np.stack([switch_key.pairs[idx][half].keep_basis(ext_basis).data
+                      for idx in data_basis])
+            for half in (0, 1)
+        ])
+        forms = self.context.rns.ntt_forward(coeffs, ext_basis)
+        if len(self._switch_forms) >= 256:
+            self._switch_forms.clear()
+        self._switch_forms[cache_key] = (switch_key, forms)
+        return forms
 
     # ------------------------------------------------------------------
     # Helpers

@@ -10,10 +10,16 @@ This is the computation pattern of the FC layer and of the C2S/S2C DFT
 stages of bootstrapping; the scheduler in :mod:`repro.sched.fc` and
 :mod:`repro.sched.bootstrap` distributes exactly this structure across
 accelerator cards.
+
+On the host the products run in evaluation (NTT) form: the encoded
+diagonals are cached there once per basis, the baby-step rotations share
+one hoisted decomposition, each baby-step ciphertext is transformed once,
+and each giant step's inner sum is inverse-transformed once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -55,6 +61,9 @@ class LinearTransform:
         self._giant_steps = sorted(
             {(d // self.baby_steps) * self.baby_steps for d in self._diagonals}
         )
+        # Encoded diagonals in evaluation form, per basis: a
+        # (diagonal_count, limbs, N) stack in ascending diagonal order.
+        self._diagonal_forms = {}
 
     # ------------------------------------------------------------------
 
@@ -66,33 +75,51 @@ class LinearTransform:
         steps.update(g for g in self._giant_steps if g % n != 0)
         return sorted(steps)
 
+    def _evaluation_diagonals(self, evaluator, basis):
+        """The encoded diagonals over ``basis`` in evaluation form (memoized)."""
+        forms = self._diagonal_forms.get(basis)
+        if forms is None:
+            coeffs = np.stack([
+                evaluator._encode_at(diag, self.plaintext_scale, basis)
+                .poly.data
+                for diag in self._diagonals.values()
+            ])
+            forms = self.context.rns.ntt_forward(coeffs, basis)
+            self._diagonal_forms[basis] = forms
+        return forms
+
     def apply(self, ct: Ciphertext, evaluator, galois_keys) -> Ciphertext:
         """Return the encrypted product ``M @ slots(ct)``.
 
         Output scale is ``ct.scale * plaintext_scale``; callers rescale.
         """
-        ctx = self.context
-        rotated = {0: ct}
-        for d in self._diagonals:
-            b = d % self.baby_steps
-            if b not in rotated:
-                rotated[b] = evaluator.rotate(ct, b, galois_keys)
+        if not self._diagonals:
+            raise ValueError("linear transform matrix is identically zero")
+        n = self.context.params.slot_count
+        bs = self.baby_steps
+        babies = list(dict.fromkeys(d % bs for d in self._diagonals))
+        rotated = evaluator.rotate_many(ct, babies, galois_keys)
+        forms = evaluator.to_evaluation(rotated)
+        position = {b: i for i, b in enumerate(babies)}
+        diagonals = self._evaluation_diagonals(evaluator, ct.basis)
+
+        def groups():
+            # Diagonals are stored in ascending order, so each giant
+            # step's diagonals are one contiguous run of the stack.
+            start = 0
+            for _, run in itertools.groupby(self._diagonals,
+                                            key=lambda d: d // bs * bs):
+                picks = [position[d % bs] for d in run]
+                yield forms[picks], diagonals[start:start + len(picks)]
+                start += len(picks)
+
+        inners = evaluator.multiply_plain_sums(
+            groups(), ct.basis, ct.scale * self.plaintext_scale)
         result = None
-        for giant in self._giant_steps:
-            inner = None
-            for d, diag in self._diagonals.items():
-                if (d // self.baby_steps) * self.baby_steps != giant:
-                    continue
-                pt = evaluator._encode_at(
-                    diag, self.plaintext_scale, ct.basis
-                )
-                term = evaluator.multiply_plain(rotated[d % self.baby_steps], pt)
-                inner = term if inner is None else evaluator.add(inner, term)
-            if giant % ctx.params.slot_count != 0:
+        for giant, inner in zip(self._giant_steps, inners):
+            if giant % n != 0:
                 inner = evaluator.rotate(inner, giant, galois_keys)
             result = inner if result is None else evaluator.add(result, inner)
-        if result is None:
-            raise ValueError("linear transform matrix is identically zero")
         return result
 
     @property

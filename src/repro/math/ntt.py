@@ -22,12 +22,13 @@ Stages whose butterfly span gets small are executed in a transposed layout
 (:data:`_PHASE_SPLIT`-wide blocks become rows) so every NumPy op touches
 long contiguous runs instead of SIMD-hostile strided pairs.
 
-:class:`NttKernel` runs the same network over a ``(limbs, N)`` stack of
-residue polynomials with per-limb moduli — the building block
-:class:`~repro.poly.RnsContext` uses to batch limb loops into single
-ndarray ops.  Twiddle tables are shared through the
-:func:`get_ntt_context` / :func:`get_ntt_kernel` factories, so a
-(degree, modulus) pair is only ever tabulated once per process.
+:class:`NttKernel` runs the same network over a ``(..., limbs, N)`` stack
+of residue polynomials with per-limb moduli — the building block
+:class:`~repro.poly.RnsContext` uses to batch limb loops, and several
+polynomials over one basis, into single ndarray ops.  Twiddle tables are
+shared through the :func:`get_ntt_context` / :func:`get_ntt_kernel`
+factories, so a (degree, modulus) pair is only ever tabulated once per
+process.
 """
 
 from __future__ import annotations
@@ -96,11 +97,13 @@ def _power_table(base: int, count: int, modulus: int) -> np.ndarray:
 
 
 class NttKernel:
-    """One butterfly network over a ``(limbs, N)`` stack of residues.
+    """One butterfly network over a ``(..., limbs, N)`` stack of residues.
 
     Every limb has its own modulus and twiddle tables; all stage arithmetic
-    broadcasts over the leading limb axis, so a multi-limb transform is a
-    single pass of ndarray ops instead of a Python loop over limbs.
+    broadcasts over the limb axis, so a multi-limb transform is a single
+    pass of ndarray ops instead of a Python loop over limbs.  Any leading
+    axes (several polynomials over the same limbs) broadcast the same
+    way, sharing one copy of the twiddle tables.
 
     Inputs must hold residues in ``[0, q)`` per limb.  ``forward`` with
     ``reduce_output=False`` returns lazily-reduced values in ``[0, 2q)``
@@ -157,8 +160,9 @@ class NttKernel:
     # ------------------------------------------------------------------
 
     def forward(self, data: np.ndarray, reduce_output: bool = True):
-        """Cooley-Tukey forward pass over a ``(limbs, N)`` stack."""
-        limbs, n = data.shape
+        """Cooley-Tukey forward pass over a ``(..., limbs, N)`` stack."""
+        lead = data.shape[:-1]
+        n = data.shape[-1]
         a = data.copy()
         q2 = self._q2
         t = n
@@ -167,45 +171,32 @@ class NttKernel:
         while m < n and t > limit:
             t //= 2
             tw = self._psi[:, m : 2 * m][:, :, None]
-            blk = a.reshape(limbs, m, 2, t)
-            u = blk[:, :, 0]
-            v = blk[:, :, 1]
+            blk = a.reshape(lead + (m, 2, t))
+            u = blk[..., 0, :]
+            v = blk[..., 1, :]
             uh = np.minimum(u, u - q2)          # exact reduce to [0, q)
             vr = v * tw % q2                    # v < 2q, tw < q: fits u64
-            blk[:, :, 0] = uh + vr              # < 2q
-            blk[:, :, 1] = uh + (q2 - vr)       # < 2q
+            blk[..., 0, :] = uh + vr            # < 2q
+            blk[..., 1, :] = uh + (q2 - vr)     # < 2q
             m *= 2
         if self._two_phase:
-            a = self._forward_transposed(a, limbs, n)
+            a = self._transposed(a, self._fwd_stages2, forward=True)
         if reduce_output:
             a = np.minimum(a, a - self._q1)
         return a
 
-    def _forward_transposed(self, a, limbs, n):
-        m0 = n // _PHASE_SPLIT
-        q3 = self._q3
-        c_arr = a.reshape(limbs, m0, _PHASE_SPLIT).transpose(0, 2, 1).copy()
-        for (t, c, tw) in self._fwd_stages2:
-            blk = c_arr.reshape(limbs, c, 2, t, m0)
-            u = blk[:, :, 0]
-            v = blk[:, :, 1]
-            uh = np.minimum(u, u - q3)
-            vr = v * tw % q3
-            blk[:, :, 0] = uh + vr
-            blk[:, :, 1] = uh + (q3 - vr)
-        return c_arr.transpose(0, 2, 1).copy().reshape(limbs, n)
-
     def inverse(self, data: np.ndarray) -> np.ndarray:
-        """Gentleman-Sande inverse pass over a ``(limbs, N)`` stack.
+        """Gentleman-Sande inverse pass over a ``(..., limbs, N)`` stack.
 
         Accepts lazily-reduced input in ``[0, 2q)``; output is fully
         reduced.
         """
-        limbs, n = data.shape
+        lead = data.shape[:-1]
+        n = data.shape[-1]
         a = data.copy()
         q2 = self._q2
         if self._two_phase:
-            a = self._inverse_transposed(a, limbs, n)
+            a = self._transposed(a, self._inv_stages2, forward=False)
             t = _PHASE_SPLIT
             m = n // (2 * _PHASE_SPLIT)
         else:
@@ -213,37 +204,39 @@ class NttKernel:
             m = n // 2
         while m >= 1:
             tw = self._psi_inv[:, m : 2 * m][:, :, None]
-            blk = a.reshape(limbs, m, 2, t)
-            u = blk[:, :, 0]
-            v = blk[:, :, 1]
+            blk = a.reshape(lead + (m, 2, t))
+            u = blk[..., 0, :]
+            v = blk[..., 1, :]
             uh = np.minimum(u, u - q2)
             vh = np.minimum(v, v - q2)
-            blk[:, :, 0] = uh + vh                          # < 2q
-            blk[:, :, 1] = (uh + q2 - vh) * tw % q2         # < q
+            blk[..., 0, :] = uh + vh                        # < 2q
+            blk[..., 1, :] = (uh + q2 - vh) * tw % q2       # < q
             t *= 2
             m //= 2
         return a * self._n_inv % self._q1
 
-    def _inverse_transposed(self, a, limbs, n):
-        m0 = n // _PHASE_SPLIT
+    def _transposed(self, a, stages, forward):
+        """The small-span stages, run on ``_PHASE_SPLIT``-wide rows."""
+        shape = a.shape
+        m0 = shape[-1] // _PHASE_SPLIT
         q3 = self._q3
-        c_arr = a.reshape(limbs, m0, _PHASE_SPLIT).transpose(0, 2, 1).copy()
-        for (t, c, tw) in self._inv_stages2:
-            blk = c_arr.reshape(limbs, c, 2, t, m0)
-            u = blk[:, :, 0]
-            v = blk[:, :, 1]
+        lead = shape[:-1]
+        c_arr = np.swapaxes(
+            a.reshape(lead + (m0, _PHASE_SPLIT)), -1, -2).copy()
+        for (t, c, tw) in stages:
+            blk = c_arr.reshape(lead + (c, 2, t, m0))
+            u = blk[..., 0, :, :]
+            v = blk[..., 1, :, :]
             uh = np.minimum(u, u - q3)
-            vh = np.minimum(v, v - q3)
-            blk[:, :, 0] = uh + vh
-            blk[:, :, 1] = (uh + q3 - vh) * tw % q3
-        return c_arr.transpose(0, 2, 1).copy().reshape(limbs, n)
-
-    def negacyclic_multiply(self, a: np.ndarray, b: np.ndarray):
-        """Limb-parallel product in ``Z_q[X]/(X^N+1)`` for a residue stack."""
-        fa = self.forward(a, reduce_output=False)
-        fb = self.forward(b, reduce_output=False)
-        # fa, fb < 2q < 2**32, so the pointwise product fits in uint64.
-        return self.inverse(fa * fb % self._q1)
+            if forward:
+                vr = v * tw % q3
+                blk[..., 0, :, :] = uh + vr
+                blk[..., 1, :, :] = uh + (q3 - vr)
+            else:
+                vh = np.minimum(v, v - q3)
+                blk[..., 0, :, :] = uh + vh
+                blk[..., 1, :, :] = (uh + q3 - vh) * tw % q3
+        return np.swapaxes(c_arr, -1, -2).copy().reshape(shape)
 
 
 class NttContext:
@@ -309,9 +302,12 @@ class NttContext:
         """Return the product of polynomials ``a * b`` in ``Z_q[X]/(X^N+1)``."""
         _metric_inc("math.ntt.calls", 2, direction="forward")
         _metric_inc("math.ntt.calls", direction="inverse")
-        return self.kernel.negacyclic_multiply(
-            self._checked(a)[None, :], self._checked(b)[None, :]
-        )[0]
+        kernel = self.kernel
+        fa, fb = kernel.forward(
+            np.stack([self._checked(a), self._checked(b)])[:, None],
+            reduce_output=False)
+        # fa, fb < 2q < 2**32, so the pointwise product fits in uint64.
+        return kernel.inverse(fa * fb % self._q)[0]
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
         arr = np.asarray(values, dtype=np.uint64)

@@ -16,14 +16,19 @@ Instrumented code records through the module-level *active* registry::
 
     inc("ckks.evaluator.ops", op="cmult")
 
-which is a no-op-cheap dictionary update.  :func:`use_registry` swaps
-the active registry for a scope (the runtime executor does this around
-every simulated request).
+which is a cheap dictionary update under the registry's lock.  One
+registry may be shared by threads — the live server's CKKS workers and
+its event loop all record into the registry ``/metrics`` reads — so
+every update and snapshot holds that lock; an unlocked
+read-modify-write loses counts under contention.
+:func:`use_registry` swaps the active registry for a scope (the runtime
+executor does this around every simulated request).
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from contextlib import contextmanager
 
 __all__ = [
@@ -57,12 +62,17 @@ def _bucket_key(bound):
 
 
 class MetricsRegistry:
-    """Counters, gauges and histograms with deterministic snapshots."""
+    """Counters, gauges and histograms with deterministic snapshots.
+
+    Recording and :meth:`snapshot` are thread-safe: each holds the
+    registry's one lock.
+    """
 
     def __init__(self):
         self._counters = {}  # name -> {label_key: float}
         self._gauges = {}  # name -> {label_key: float}
         self._hists = {}  # name -> {label_key: hist dict}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Recording
@@ -70,38 +80,44 @@ class MetricsRegistry:
 
     def inc(self, name, value=1, **labels):
         """Add ``value`` to counter ``name`` for the given labels."""
-        series = self._counters.setdefault(name, {})
         key = _label_key(labels)
-        series[key] = series.get(key, 0) + value
+        with self._lock:
+            series = self._counters.setdefault(name, {})
+            series[key] = series.get(key, 0) + value
 
     def set_gauge(self, name, value, **labels):
         """Set gauge ``name`` to ``value`` (last write wins)."""
-        self._gauges.setdefault(name, {})[_label_key(labels)] = value
+        key = _label_key(labels)
+        with self._lock:
+            self._gauges.setdefault(name, {})[key] = value
 
     def observe(self, name, value, buckets=DEFAULT_BUCKETS, **labels):
         """Record one observation into histogram ``name``."""
-        series = self._hists.setdefault(name, {})
         key = _label_key(labels)
-        hist = series.get(key)
-        if hist is None:
-            hist = series[key] = {
-                "count": 0,
-                "sum": 0.0,
-                "min": None,
-                "max": None,
-                "buckets": {_bucket_key(b): 0
-                            for b in tuple(buckets) + (float("inf"),)},
-            }
-        hist["count"] += 1
-        hist["sum"] += value
-        hist["min"] = value if hist["min"] is None else min(hist["min"], value)
-        hist["max"] = value if hist["max"] is None else max(hist["max"], value)
-        for bound in buckets:
-            if value <= bound:
-                hist["buckets"][_bucket_key(bound)] += 1
-                break
-        else:
-            hist["buckets"][_INF] += 1
+        with self._lock:
+            series = self._hists.setdefault(name, {})
+            hist = series.get(key)
+            if hist is None:
+                hist = series[key] = {
+                    "count": 0,
+                    "sum": 0.0,
+                    "min": None,
+                    "max": None,
+                    "buckets": {_bucket_key(b): 0
+                                for b in tuple(buckets) + (float("inf"),)},
+                }
+            hist["count"] += 1
+            hist["sum"] += value
+            hist["min"] = (value if hist["min"] is None
+                           else min(hist["min"], value))
+            hist["max"] = (value if hist["max"] is None
+                           else max(hist["max"], value))
+            for bound in buckets:
+                if value <= bound:
+                    hist["buckets"][_bucket_key(bound)] += 1
+                    break
+            else:
+                hist["buckets"][_INF] += 1
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -122,16 +138,18 @@ class MetricsRegistry:
             out["buckets"] = dict(hist["buckets"])
             return out
 
-        return {
-            "counters": _sorted_series(self._counters, lambda v: v),
-            "gauges": _sorted_series(self._gauges, lambda v: v),
-            "histograms": _sorted_series(self._hists, _copy_hist),
-        }
+        with self._lock:
+            return {
+                "counters": _sorted_series(self._counters, lambda v: v),
+                "gauges": _sorted_series(self._gauges, lambda v: v),
+                "histograms": _sorted_series(self._hists, _copy_hist),
+            }
 
     def reset(self):
-        self._counters.clear()
-        self._gauges.clear()
-        self._hists.clear()
+        with self._lock:
+            self._counters.clear()
+            self._gauges.clear()
+            self._hists.clear()
 
     @property
     def is_empty(self):

@@ -7,8 +7,9 @@ operation of the kernel under test.  The suite covers the CKKS hot paths
 that dominate every paper experiment — the same kernels Hydra accelerates
 in hardware (Section IV): NTT, RNS limb arithmetic, keyswitching and
 rotation, BSGS linear transforms, one bootstrapping stage, one
-end-to-end scheduled simulation step of ``Hydra-S resnet18``, and the
-:mod:`repro.serve` discrete-event serving loop.
+end-to-end scheduled simulation step of ``Hydra-S resnet18``, the
+:mod:`repro.serve` discrete-event serving loop, and one live-server
+encrypted inference.
 
 The registry is **pinned**: renaming or dropping a workload breaks
 comparability of stored baselines, so ``repro perf compare`` treats a
@@ -372,6 +373,30 @@ def _make_serve_llm_workload():
 
 
 # ----------------------------------------------------------------------
+# One live-server inference (the request path of ``serve --live``)
+# ----------------------------------------------------------------------
+
+def _live_infer_state(_seed):
+    from repro.serve.live import _WorkerContext
+
+    # The worker context the live server builds at warm-up: keys and the
+    # two dense layers.  The runner's warmup calls fill its
+    # evaluation-form caches, so a timed run is one request on a warm
+    # worker — what each live /v1/infer pays for its CKKS pass.
+    return {"worker": _WorkerContext(0), "values": [0.1, -0.2, 0.3]}
+
+
+def _make_live_workload():
+    return PerfWorkload(
+        name="serve.live.infer",
+        description="one live inference on a warm worker: encrypt, BSGS "
+                    "dense, square activation, BSGS dense, decrypt, N=128",
+        setup=_live_infer_state,
+        run=lambda s: s["worker"].infer(s["values"]),
+    )
+
+
+# ----------------------------------------------------------------------
 # Registry
 # ----------------------------------------------------------------------
 
@@ -386,6 +411,7 @@ def _build_suite():
     workloads.append(_make_serve_workload())
     workloads.append(_make_serve_stream_workload())
     workloads.append(_make_serve_llm_workload())
+    workloads.append(_make_live_workload())
     return {w.name: w for w in workloads}
 
 

@@ -11,9 +11,11 @@ process one limb at a time.  This package provides the software equivalent:
 * :class:`repro.poly.polynomial.RnsPoly` — an immutable-shape polynomial in
   a subset of the chain's moduli, with ring arithmetic, automorphisms,
   rescaling and fast base extension.
+* :func:`repro.poly.polynomial.automorphism_evaluation` — ``X -> X**g`` on
+  evaluation-form residues, a pure index map.
 """
 
-from repro.poly.polynomial import RnsPoly
+from repro.poly.polynomial import RnsPoly, automorphism_evaluation
 from repro.poly.rns import RnsContext
 
-__all__ = ["RnsContext", "RnsPoly"]
+__all__ = ["RnsContext", "RnsPoly", "automorphism_evaluation"]

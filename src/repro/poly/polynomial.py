@@ -14,6 +14,13 @@ is plain numpy over the whole ``(limbs, N)`` stack; the conditional
 subtraction ``np.minimum(x, x - q)`` is the same ``uint64`` wraparound
 trick the NTT butterflies use for lazy reduction.  Only the ring
 products go through the context's stacked NTT kernels.
+
+The *evaluation form* of a polynomial is its forward NTT, limb by limb
+(:meth:`RnsContext.ntt_forward <repro.poly.RnsContext.ntt_forward>`): a
+plain ``uint64`` array whose ring product is a pointwise product mod
+``q``.  The CKKS evaluator holds every fixed multiplicand (switch keys,
+encoded diagonals) in that form and applies automorphisms there as a pure
+index map (:func:`automorphism_evaluation`).
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from functools import lru_cache
 import numpy as np
 
 from repro.math.modular import mod_inverse
+from repro.math.ntt import bit_reverse_permutation
 
-__all__ = ["RnsPoly"]
+__all__ = ["RnsPoly", "automorphism_evaluation"]
 
 
 @lru_cache(maxsize=512)
@@ -44,6 +52,39 @@ def _automorphism_maps(n, g):
     dest.setflags(write=False)
     flip.setflags(write=False)
     return dest, flip
+
+
+@lru_cache(maxsize=512)
+def _evaluation_automorphism_map(n, g):
+    """Source slot of every NTT slot under ``X -> X**g`` (memoized).
+
+    The forward NTT leaves slot ``i`` holding ``a(psi**(2*brv(i) + 1))``,
+    with ``psi`` the primitive ``2N``-th root its twiddles are built from
+    and ``brv`` the ``log2 N``-bit reversal.  ``X -> X**g`` moves that
+    evaluation point to ``psi**(g*(2*brv(i) + 1))``, another odd power of
+    ``psi``, so in evaluation form the automorphism is a gather
+    ``out[i] = values[src[i]]`` with no sign flips.
+    """
+    rev = bit_reverse_permutation(n)
+    odd = g * (2 * rev + 1) % (2 * n)
+    src = rev[(odd - 1) // 2]
+    src.setflags(write=False)
+    return src
+
+
+def automorphism_evaluation(values, galois_element):
+    """Apply ``X -> X**galois_element`` to evaluation-form residues.
+
+    ``values`` holds forward NTTs along its last axis (any leading shape:
+    one polynomial's limbs, or a stack of keyswitch digits); the result
+    equals the forward NTT of :meth:`RnsPoly.automorphism` of the same
+    coefficients, exactly.
+    """
+    n = values.shape[-1]
+    g = int(galois_element) % (2 * n)
+    if g % 2 == 0:
+        raise ValueError(f"galois element must be odd, got {galois_element}")
+    return values[..., _evaluation_automorphism_map(n, g)]
 
 
 class RnsPoly:
@@ -187,12 +228,17 @@ class RnsPoly:
         return RnsPoly(self.context, np.minimum(out, out - q), self.basis)
 
     def multiply(self, other):
-        """Negacyclic product ``self * other`` (limb-batched NTT multiply)."""
+        """Negacyclic product ``self * other`` (limb-batched NTT multiply).
+
+        Both operands share one stacked forward pass; the pointwise
+        product goes back through one inverse pass.
+        """
         self._check_compatible(other)
-        out = self.context.negacyclic_multiply(
-            self.data, other.data, self.basis
-        )
-        return RnsPoly(self.context, out, self.basis)
+        rns = self.context
+        fa, fb = rns.ntt_forward(np.stack([self.data, other.data]),
+                                 self.basis)
+        product = fa * fb % self._moduli_column()
+        return RnsPoly(rns, rns.ntt_inverse(product, self.basis), self.basis)
 
     def multiply_scalar(self, scalar):
         """Return ``self * scalar`` for an integer scalar."""

@@ -6,7 +6,7 @@ special keyswitching moduli), a negacyclic NTT per prime, and the constants
 needed for the HPS-style approximate base conversion used in keyswitching
 (mod-up to the extended basis and mod-down by the special product ``P``).
 
-Limb loops are batched: ring products run through stacked
+Limb loops are batched: NTTs run through stacked
 :class:`~repro.math.ntt.NttKernel` passes that process a chunk of limbs in
 single ndarray ops (chunk size bounded by :data:`_CHUNK_ELEMENTS` so the
 working set stays cache-resident at large ``N``), and the per-basis
@@ -178,33 +178,39 @@ class RnsContext:
         return chunks
 
     # ------------------------------------------------------------------
-    # Batched ring products
+    # Stacked NTT passes
     # ------------------------------------------------------------------
 
-    def negacyclic_multiply(self, a_data, b_data, basis):
-        """Limb-batched product of two residue stacks over ``basis``."""
-        _metric_inc("math.ntt.calls", 2 * len(a_data), direction="forward")
-        _metric_inc("math.ntt.calls", len(a_data), direction="inverse")
-        out = np.empty_like(a_data)
-        for rows, kernel in self.kernel_chunks(basis):
-            out[rows] = kernel.negacyclic_multiply(a_data[rows], b_data[rows])
-        return out
-
     def ntt_forward(self, data, basis):
-        """Limb-batched forward NTT of a residue stack over ``basis``."""
-        _metric_inc("math.ntt.calls", len(data), direction="forward")
-        out = np.empty_like(data)
-        for rows, kernel in self.kernel_chunks(basis):
-            out[rows] = kernel.forward(data[rows])
-        return out
+        """Forward NTT of a residue stack over ``basis``.
+
+        ``data`` has shape ``(..., len(basis), N)``: any number of
+        polynomials over the same basis (a ciphertext's two components, a
+        keyswitch's digits) are transformed together, so the butterfly
+        network runs once per cache-sized chunk rather than once per
+        polynomial.  Output residues are fully reduced.
+        """
+        return self._stacked(data, basis, "forward")
 
     def ntt_inverse(self, data, basis):
-        """Limb-batched inverse NTT of a residue stack over ``basis``."""
-        _metric_inc("math.ntt.calls", len(data), direction="inverse")
-        out = np.empty_like(data)
+        """Inverse NTT of a ``(..., len(basis), N)`` stack over ``basis``."""
+        return self._stacked(data, basis, "inverse")
+
+    def _stacked(self, data, basis, direction):
+        n = self.poly_degree
+        polys = data.reshape(-1, len(basis), n)
+        _metric_inc("math.ntt.calls", polys.shape[0] * len(basis),
+                    direction=direction)
+        out = np.empty_like(polys)
+        budget = max(1, _CHUNK_ELEMENTS // n)
         for rows, kernel in self.kernel_chunks(basis):
-            out[rows] = kernel.inverse(data[rows])
-        return out
+            transform = getattr(kernel, direction)
+            # As many polynomials per pass as keep the chunk cache-sized.
+            per = max(1, budget // (rows.stop - rows.start))
+            for start in range(0, len(polys), per):
+                batch = slice(start, start + per)
+                out[batch, rows] = transform(polys[batch, rows])
+        return out.reshape(data.shape)
 
     # ------------------------------------------------------------------
     # Fast (HPS) base conversion

@@ -1,6 +1,8 @@
 """Tests for repro.obs: metrics registry, snapshots, span tracing."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -69,6 +71,46 @@ class TestRegistry:
         assert not reg.is_empty
         reg.reset()
         assert reg.is_empty
+
+    def test_concurrent_records_are_not_lost(self):
+        """Threads hammering one registry land exact totals.
+
+        The live server's two CKKS worker threads and its event loop
+        share one registry; with a thread switch forced every
+        microsecond, an unlocked read-modify-write loses a few percent
+        of the counts.
+        """
+        reg = MetricsRegistry()
+        workers, per_thread = 4, 100_000
+        start = threading.Barrier(workers)
+
+        def work(tag):
+            start.wait()
+            for i in range(per_thread):
+                reg.inc("ops", 10, op="rotation")
+                if i % 100 == 0:
+                    reg.observe("lat", 0.5)
+                    reg.set_gauge("last", i, worker=tag)
+                    reg.snapshot()
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(str(t),))
+                       for t in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        snap = reg.snapshot()
+        total = workers * per_thread
+        assert snap["counters"]["ops"]["op=rotation"] == 10 * total
+        assert snap["histograms"]["lat"][""]["count"] == total // 100
+        assert snap["gauges"]["last"] == {
+            f"worker={t}": per_thread - 100 for t in range(workers)}
 
 
 class TestMerge:

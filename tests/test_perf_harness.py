@@ -40,6 +40,7 @@ EXPECTED_WORKLOADS = (
     "serve.steady.hydra_m",
     "serve.stream.hydra_m",
     "serve.llm.chat",
+    "serve.live.infer",
 )
 
 
