@@ -10,7 +10,7 @@ near-instant.
 
 from __future__ import annotations
 
-from repro.runtime import RunRequest, run_one
+from repro.runtime import RunRequest, execute
 
 BENCHMARK_LABELS = {
     "resnet18": "ResNet-18",
@@ -29,14 +29,14 @@ def run(benchmark, system, with_energy=True):
     """Cached full-model run on a named deployment."""
     request = RunRequest(benchmark=benchmark, system=system,
                          with_energy=with_energy)
-    return run_one(request).result
+    return execute([request])[0].result
 
 
 def run_cluster(benchmark, cluster, with_energy=True):
     """Cached full-model run on an explicit :class:`ClusterSpec`."""
     request = RunRequest(benchmark=benchmark, cluster=cluster,
                          with_energy=with_energy)
-    return run_one(request).result
+    return execute([request])[0].result
 
 
 def procedure_order(benchmark):

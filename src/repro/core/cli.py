@@ -535,11 +535,9 @@ def _cmd_trace(args, out):
                     model.steps[0])
     planner = system.planner
     builder = ProgramBuilder(system.total_cards)
-    scale = (model.work_scale
-             * planner.calibration.work_scale.get(model.name, 1.0))
     recorder = Recorder()
     with recorder:
-        planner.map_step(step, builder, scale)
+        planner.map_step(step, builder, planner.work_scale(model))
         sim = Simulator(system.cluster, trace=True)
         result = sim.run(builder.build(), step=step.name)
 

@@ -10,12 +10,13 @@ synchronization machinery, behind one class::
     result = system.run("resnet18")
     print(result.total_seconds, result.comm_overhead_fraction)
 
-Results are cached through an injectable :class:`repro.runtime.RunCache`
-keyed by the *full* configuration fingerprint (cluster, CKKS parameters,
-calibration, planner rounds, code version — see
-:mod:`repro.runtime.fingerprint`), so deployments that differ in any
-modelled quantity never serve each other's results.  By default all
-``HydraSystem`` instances share the process-wide
+Results are planned through the runtime's one cached plan path,
+:func:`repro.runtime.execute`, into an injectable
+:class:`repro.runtime.RunCache` keyed by the *full* configuration
+fingerprint (cluster, CKKS parameters, calibration, planner rounds, code
+version — see :mod:`repro.runtime.fingerprint`), so deployments that
+differ in any modelled quantity never serve each other's results.  By
+default all ``HydraSystem`` instances share the process-wide
 :func:`repro.runtime.default_cache`; pass ``cache=`` to isolate, or use
 :class:`repro.runtime.SqlitePlanStore` for persistence across processes.
 
@@ -32,7 +33,8 @@ from repro.baselines.poseidon import POSEIDON
 from repro.hw.cluster import HYDRA_L, HYDRA_M, HYDRA_S, hydra_cluster
 from repro.models import BENCHMARKS
 from repro.runtime.cache import default_cache
-from repro.runtime.fingerprint import run_key as _run_key
+from repro.runtime.executor import execute
+from repro.runtime.requests import RunRequest
 from repro.sched.planner import Planner
 
 __all__ = [
@@ -145,33 +147,32 @@ class HydraSystem:
                 f"{available_benchmarks()}"
             ) from None
 
-    def run_key(self, benchmark, with_energy=True, model=None):
-        """Cache key of one run under this system's full configuration."""
+    def _request(self, benchmark, with_energy):
+        """The :class:`~repro.runtime.RunRequest` of one :meth:`run`."""
         planner = self.planner
-        return _run_key(
-            self.cluster, planner.params, planner.calibration,
-            planner.rounds, benchmark, with_energy, model=model,
+        graph = None if isinstance(benchmark, str) else benchmark
+        return RunRequest(
+            benchmark=benchmark if graph is None else graph.name,
+            cluster=self.cluster, model=graph, with_energy=with_energy,
+            params=planner.params, calibration=planner.calibration,
+            rounds=planner.rounds,
         )
+
+    def run_key(self, benchmark, with_energy=True):
+        """Cache key of one run under this system's full configuration."""
+        return self._request(benchmark, with_energy).key()
 
     def run(self, benchmark, *, with_energy=True, use_cache=True):
         """Run one benchmark to completion; returns a ModelRunResult.
 
         ``benchmark`` is a registered name or a
         :class:`~repro.models.ModelGraph`; everything after it is
-        keyword-only.
+        keyword-only.  ``use_cache=False`` plans directly, with no
+        cache key, lock or store.
         """
-        if isinstance(benchmark, str):
-            model = self.build_model(benchmark)
-            key = self.run_key(benchmark, with_energy=with_energy)
-        else:
-            model = benchmark
-            key = self.run_key(model.name, with_energy=with_energy,
-                               model=model)
         if use_cache:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        result = self.planner.run_model(model, with_energy=with_energy)
-        if use_cache:
-            self.cache.put(key, result)
-        return result
+            request = self._request(benchmark, with_energy)
+            return execute([request], cache=self.cache)[0].result
+        model = (self.build_model(benchmark) if isinstance(benchmark, str)
+                 else benchmark)
+        return self.planner.run_model(model, with_energy=with_energy)

@@ -267,9 +267,8 @@ def _sim_state(_seed):
     model = system.build_model("resnet18")
     step = next((s for s in model.steps if s.is_unit_parallel),
                 model.steps[0])
-    scale = (model.work_scale
-             * system.planner.calibration.work_scale.get(model.name, 1.0))
-    return {"system": system, "step": step, "scale": scale}
+    return {"system": system, "step": step,
+            "scale": system.planner.work_scale(model)}
 
 
 def _run_sim_step(state):

@@ -11,8 +11,10 @@ This package is how experiments run at scale:
   caches, including the persistent cross-process plan store under
   ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-hydra/`` (``cache``,
   ``planstore``);
-* :func:`execute` / :func:`run_one` — deterministic fan-out of request
-  grids over a process pool with in-order merging (``executor``);
+* :func:`execute` — deterministic fan-out of request grids over a
+  process pool with in-order merging, and the one implementation of
+  the plan-cache protocol (lookup → lock → re-check → plan → store)
+  that every cached plan goes through (``executor``);
 * :class:`RunManifest` — per-run provenance: wall time, cache hits,
   worker slots (``manifest``).
 
@@ -33,13 +35,13 @@ from repro.runtime.cache import (
     default_cache_dir,
     set_default_cache,
 )
-from repro.runtime.executor import ExecutionResult, execute, run_one
+from repro.runtime.executor import ExecutionResult, execute
 from repro.runtime.fingerprint import (
     code_fingerprint,
     config_fingerprint,
     run_key,
 )
-from repro.runtime.manifest import RunManifest, RunRecord
+from repro.runtime.manifest import RunManifest
 from repro.runtime.planstore import SqlitePlanStore
 from repro.runtime.requests import RunRequest, RunResult, paper_grid
 
@@ -53,12 +55,10 @@ __all__ = [
     "set_default_cache",
     "ExecutionResult",
     "execute",
-    "run_one",
     "code_fingerprint",
     "config_fingerprint",
     "run_key",
     "RunManifest",
-    "RunRecord",
     "RunRequest",
     "RunResult",
     "paper_grid",

@@ -73,7 +73,8 @@ class RunCache:
     """Maps fingerprint keys to :class:`ModelRunResult` objects.
 
     Subclasses implement ``_load`` / ``_store`` / ``clear`` /
-    ``__contains__`` / ``__len__``; ``get``/``put`` add stats accounting.
+    ``__contains__`` / ``__len__``; ``get``/``put``/``claim`` add stats
+    accounting.
     """
 
     def __init__(self):
@@ -98,11 +99,23 @@ class RunCache:
         The base implementation is a no-op context manager — a
         process-local cache has nothing to exclude.  Stores shared
         between processes (:class:`~repro.runtime.SqlitePlanStore`)
-        override this with a real per-key file lock; the executor wraps
-        its miss path in it so each plan compiles exactly once across
-        concurrent servers.
+        override this with a real per-key file lock.
         """
         return contextlib.nullcontext()
+
+    @contextlib.contextmanager
+    def claim(self, key):
+        """Hold ``key``'s :meth:`lock` and look it up again.
+
+        Yields the entry another process stored while this one waited
+        (a late hit, counted as a hit), or None: the caller then plans
+        ``key`` and :meth:`put`-s it before leaving the block.
+        """
+        with self.lock(key):
+            late = self._load(key)
+            if late is not None:
+                self.stats.hits += 1
+            yield late
 
     def _load(self, key):
         raise NotImplementedError

@@ -6,11 +6,15 @@ key, and only genuine misses are simulated — serially for ``jobs=1`` or
 over a :class:`~concurrent.futures.ProcessPoolExecutor` otherwise.
 Results are merged back **in request order** regardless of completion
 order, so a parallel execution is byte-identical to a serial one; only
-the manifest's timing metadata differs.
+the manifest's timing metadata differs.  Every cached plan, from
+:meth:`repro.core.HydraSystem.run` too, goes through :func:`execute`'s
+lookup → lock → re-check → plan → store, so processes sharing one
+:class:`~repro.runtime.SqlitePlanStore` compile each plan once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -21,7 +25,7 @@ from repro.runtime.cache import default_cache
 from repro.runtime.manifest import RunManifest
 from repro.runtime.requests import RunResult
 
-__all__ = ["ExecutionResult", "execute", "run_one"]
+__all__ = ["ExecutionResult", "execute"]
 
 
 def _simulate(request):
@@ -40,6 +44,27 @@ def _simulate(request):
         result = request.execute()
     return (result, time.perf_counter() - start, os.getpid(),
             registry.snapshot())
+
+
+def _simulations(todo, jobs):
+    """Yield ``(key, result, provenance)`` per ``todo`` entry as it
+    finishes: in order in this process for ``jobs=1``, else from a
+    process pool, with the worker's stable slot number.
+    """
+    if jobs == 1:
+        for key, request in todo.items():
+            result, seconds, _pid, metrics = _simulate(request)
+            yield key, result, {"seconds": seconds, "metrics": metrics}
+    elif todo:
+        worker_slot = {}  # pid -> stable small slot number
+        with ProcessPoolExecutor(max_workers=min(jobs, len(todo))) as pool:
+            futures = {pool.submit(_simulate, request): key
+                       for key, request in todo.items()}
+            for future in as_completed(futures):
+                result, seconds, pid, metrics = future.result()
+                slot = worker_slot.setdefault(pid, len(worker_slot))
+                yield futures[future], result, {
+                    "seconds": seconds, "worker": slot, "metrics": metrics}
 
 
 @dataclass
@@ -66,22 +91,6 @@ class ExecutionResult:
         }
 
 
-def run_one(request, cache=None, use_cache=True):
-    """Execute a single request against the (default) cache."""
-    cache = default_cache() if cache is None else cache
-    key = request.key()
-    if use_cache:
-        cached = cache.get(key)
-        if cached is not None:
-            return RunResult(request=request, result=cached, key=key,
-                             cache_hit=True)
-    result, seconds, _pid, metrics = _simulate(request)
-    if use_cache:
-        cache.put(key, result)
-    return RunResult(request=request, result=result, key=key,
-                     cache_hit=False, seconds=seconds, metrics=metrics)
-
-
 def execute(requests, jobs=1, cache=None, use_cache=True):
     """Run a request grid; returns an :class:`ExecutionResult`.
 
@@ -96,7 +105,7 @@ def execute(requests, jobs=1, cache=None, use_cache=True):
         default.  Workers never touch the cache — the parent stores
         their results, so a shared disk cache sees no write races.
     use_cache:
-        False bypasses lookup *and* storage entirely.
+        False bypasses lookup, locking *and* storage entirely.
     """
     requests = list(requests)
     cache = default_cache() if cache is None else cache
@@ -112,72 +121,46 @@ def execute(requests, jobs=1, cache=None, use_cache=True):
         if cached is not None:
             results[i] = RunResult(request=request, result=cached, key=key,
                                    cache_hit=True)
-        elif key in pending:
-            pending[key].append(i)
         else:
-            pending[key] = [i]
+            pending.setdefault(key, []).append(i)
 
-    def _finish(key, result, seconds, worker, metrics):
-        if use_cache:
-            cache.put(key, result)
+    def _finish(key, result, **provenance):
         for idx in pending[key]:
-            results[idx] = RunResult(
-                request=requests[idx], result=result, key=key,
-                cache_hit=False, seconds=seconds, worker=worker,
-                metrics=metrics,
-            )
+            results[idx] = RunResult(request=requests[idx], result=result,
+                                     key=key, **provenance)
 
-    late_hits = 0
-    if pending and jobs == 1:
-        for key, indices in pending.items():
-            if not use_cache:
-                result, seconds, _pid, metrics = _simulate(
-                    requests[indices[0]])
-                _finish(key, result, seconds, None, metrics)
-                continue
-            # Hold the store's per-key lock across check → simulate →
-            # store: when concurrent processes race on the same plan,
-            # exactly one compiles it and the others find the stored
-            # result when the lock releases (a "late hit").
-            with cache.lock(key):
-                late = cache._load(key)
-                if late is not None:
-                    cache.stats.hits += 1
-                    late_hits += 1
-                    for idx in indices:
-                        results[idx] = RunResult(
-                            request=requests[idx], result=late, key=key,
-                            cache_hit=True,
-                        )
-                    continue
-                result, seconds, _pid, metrics = _simulate(
-                    requests[indices[0]])
-                _finish(key, result, seconds, None, metrics)
-    elif pending:
-        worker_slot = {}  # pid -> stable small slot number
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(pending))
-        ) as pool:
-            futures = {
-                pool.submit(_simulate, requests[indices[0]]): key
-                for key, indices in pending.items()
-            }
-            for future in as_completed(futures):
-                result, seconds, pid, metrics = future.result()
-                slot = worker_slot.setdefault(pid, len(worker_slot))
-                _finish(futures[future], result, seconds, slot, metrics)
+    with contextlib.ExitStack() as unwind:
+        # Claim every pending key in sorted order, so processes racing
+        # on overlapping grids cannot deadlock.  A claim holds the key's
+        # lock from the re-check until its plan is stored; a late hit
+        # releases it at once.
+        release = {}
+        for key in sorted(pending):
+            claim = unwind.enter_context(contextlib.ExitStack())
+            late = (claim.enter_context(cache.claim(key)) if use_cache
+                    else None)
+            if late is None:
+                release[key] = claim.close
+            else:
+                claim.close()
+                _finish(key, late, cache_hit=True)
+        todo = {key: requests[indices[0]]
+                for key, indices in pending.items() if key in release}
+        for key, result, provenance in _simulations(todo, jobs):
+            if use_cache:
+                cache.put(key, result)
+            release[key]()
+            _finish(key, result, **provenance)
 
-    manifest = RunManifest(jobs=jobs,
+    manifest = RunManifest(jobs=jobs, records=results,
                            wall_seconds=time.perf_counter() - start)
-    for run_result in results:
-        manifest.record(run_result)
     # Merge per-simulation metric snapshots in request order (one per
     # deduplicated key, first occurrence) — deterministic regardless of
     # worker completion order — then fold in parent-side cache counters.
     parent = MetricsRegistry()
     parent.inc("runtime.cache.hits",
                sum(1 for rr in results if rr.cache_hit))
-    parent.inc("runtime.cache.misses", len(pending) - late_hits)
+    parent.inc("runtime.cache.misses", len(todo))
     parent.inc("runtime.cache.stale", cache.stats.stale - stale_before)
     parent.inc("runtime.requests", len(requests))
     manifest.metrics = merge_snapshots(

@@ -27,7 +27,10 @@ __all__ = [
 
 #: Packages whose source defines the simulated numbers; editing any file
 #: under them changes :func:`code_fingerprint` and thereby every run key.
-_CODE_SCOPE = ("baselines", "cost", "hw", "models", "sched", "sim")
+#: ``ir`` sets the lowering's float summation order; ``llm`` builds the
+#: phase graphs (``bert_base#decode`` ...).
+_CODE_SCOPE = ("baselines", "cost", "hw", "ir", "llm", "models", "sched",
+               "sim")
 
 _SAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 

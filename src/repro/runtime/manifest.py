@@ -1,11 +1,11 @@
 """Run manifests: what a grid execution did and what it cost.
 
 Every :func:`repro.runtime.execute` call produces a
-:class:`RunManifest` — one :class:`RunRecord` per request, recording the
-cache key, whether it was served from cache, the wall-clock seconds
-spent simulating, and which worker slot did the work — plus the
-execution's total wall time and worker count.  The manifest is plain
-data (JSON-serializable) so sweeps can be audited after the fact.
+:class:`RunManifest` — one :class:`~repro.runtime.RunResult` per
+request, recording the cache key, whether it was served from cache, the
+wall-clock seconds spent simulating, and which worker slot did the work
+— plus the execution's total wall time and worker count.  The manifest
+serializes to plain data (JSON) so sweeps can be audited after the fact.
 """
 
 from __future__ import annotations
@@ -13,36 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-__all__ = ["RunRecord", "RunManifest"]
-
-
-@dataclass
-class RunRecord:
-    """Provenance of one request within a grid execution.
-
-    ``metrics`` is the :mod:`repro.obs` snapshot recorded while the
-    request simulated (None for cache hits — their counters were paid
-    when the entry was first produced).
-    """
-
-    key: str
-    benchmark: str
-    system: str
-    cache_hit: bool
-    seconds: float = 0.0
-    worker: int = None
-    metrics: dict = None
-
-    def to_dict(self):
-        return {
-            "key": self.key,
-            "benchmark": self.benchmark,
-            "system": self.system,
-            "cache_hit": self.cache_hit,
-            "seconds": self.seconds,
-            "worker": self.worker,
-            "metrics": self.metrics,
-        }
+__all__ = ["RunManifest"]
 
 
 @dataclass
@@ -51,23 +22,11 @@ class RunManifest:
 
     jobs: int = 1
     wall_seconds: float = 0.0
+    #: one :class:`~repro.runtime.RunResult` per request, in input order
     records: list = field(default_factory=list)
     #: merged metrics snapshot of every simulation in this execution
     #: plus the parent's cache counters (see repro.obs.metrics)
     metrics: dict = None
-
-    def record(self, run_result):
-        """Append one completed :class:`~repro.runtime.RunResult`."""
-        self.records.append(RunRecord(
-            key=run_result.key,
-            benchmark=run_result.request.benchmark,
-            system=run_result.request.system_name,
-            cache_hit=run_result.cache_hit,
-            seconds=run_result.seconds,
-            worker=run_result.worker,
-            metrics=getattr(run_result, "metrics", None),
-        ))
-        return self.records[-1]
 
     # ------------------------------------------------------------------
 

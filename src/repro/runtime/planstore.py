@@ -174,9 +174,10 @@ class SqlitePlanStore(RunCache):
     def lock(self, key):
         """Exclusive advisory lock for compiling ``key``.
 
-        Blocks until no other process holds the key; the executor wraps
-        its check → simulate → store sequence in this, so each plan is
-        compiled exactly once however many servers race on it.
+        Blocks until no other process holds the key; the executor's
+        :meth:`~repro.runtime.RunCache.claim` holds it from the re-check
+        until the plan is stored, so each plan is compiled exactly once
+        however many servers race on it.
         """
         if fcntl is None:  # pragma: no cover - non-POSIX fallback
             yield

@@ -30,16 +30,19 @@ class RunRequest:
     Exactly one of ``system`` (a registry name, see
     :func:`repro.core.available_systems`) or ``cluster`` (an explicit
     spec) must be given.  ``params`` / ``calibration`` default to the
-    paper configuration when None.
+    paper configuration.  ``model`` is a hand-built
+    :class:`~repro.models.ModelGraph` to plan in place of the registered
+    graph; ``benchmark`` then carries its name.
     """
 
     benchmark: str
     system: str = None
     cluster: object = None
     with_energy: bool = True
-    params: object = None
-    calibration: object = None
+    params: object = PAPER_PARAMS
+    calibration: object = DEFAULT_CALIBRATION
     rounds: int = DEFAULT_ROUNDS
+    model: object = None
 
     def __post_init__(self):
         if (self.system is None) == (self.cluster is None):
@@ -65,43 +68,22 @@ class RunRequest:
 
         return cluster_named(self.system)
 
-    def effective_params(self):
-        return PAPER_PARAMS if self.params is None else self.params
-
-    def effective_calibration(self):
-        return (DEFAULT_CALIBRATION if self.calibration is None
-                else self.calibration)
-
-    def planner_kwargs(self):
-        return {
-            "params": self.effective_params(),
-            "calibration": self.effective_calibration(),
-            "rounds": self.rounds,
-        }
-
     def key(self):
         """Full config fingerprint key for the result cache."""
-        return run_key(
-            self.resolve_cluster(),
-            self.effective_params(),
-            self.effective_calibration(),
-            self.rounds,
-            self.benchmark,
-            self.with_energy,
-        )
-
-    def build_system(self, cache=None):
-        """A ready :class:`~repro.core.HydraSystem` for this request."""
-        from repro.core.system import HydraSystem
-
-        return HydraSystem(self.resolve_cluster(), cache=cache,
-                           **self.planner_kwargs())
+        return run_key(self.resolve_cluster(), self.params,
+                       self.calibration, self.rounds, self.benchmark,
+                       self.with_energy, model=self.model)
 
     def execute(self):
         """Simulate uncached; returns the raw ``ModelRunResult``."""
-        system = self.build_system()
-        return system.run(self.benchmark, with_energy=self.with_energy,
-                          use_cache=False)
+        from repro.core.system import HydraSystem
+
+        system = HydraSystem(self.resolve_cluster(), params=self.params,
+                             calibration=self.calibration,
+                             rounds=self.rounds)
+        return system.run(
+            self.benchmark if self.model is None else self.model,
+            with_energy=self.with_energy, use_cache=False)
 
 
 @dataclass
@@ -116,8 +98,22 @@ class RunResult:
     seconds: float = 0.0
     #: worker slot that simulated it (None = cache or main process)
     worker: int = None
-    #: metrics snapshot recorded while simulating (None for cache hits)
+    #: metrics snapshot recorded while simulating (None for cache hits —
+    #: their counters were paid when the entry was first produced)
     metrics: dict = None
+
+    def to_dict(self):
+        """The provenance record a :class:`~repro.runtime.RunManifest`
+        serializes for this request."""
+        return {
+            "key": self.key,
+            "benchmark": self.request.benchmark,
+            "system": self.request.system_name,
+            "cache_hit": self.cache_hit,
+            "seconds": self.seconds,
+            "worker": self.worker,
+            "metrics": self.metrics,
+        }
 
 
 def paper_grid(systems=None, benchmarks=None, with_energy=True):

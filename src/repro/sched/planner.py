@@ -163,12 +163,7 @@ class Planner:
         events relabeled to the repeating step's name, and count as
         ``sim.engine.memo_hits``.
         """
-        # Phase-qualified LLM graphs ("bert_base#prefill") share the base
-        # model's packing calibration — the phase split changes the step
-        # mix, not the ciphertext-packing efficiency.
-        scale = model.work_scale * self.calibration.work_scale.get(
-            model.name.partition("#")[0], 1.0
-        )
+        scale = self.work_scale(model)
         result = ModelRunResult(
             model_name=model.name, cluster_name=self.cluster.name
         )
@@ -228,12 +223,23 @@ class Planner:
 
     # ------------------------------------------------------------------
 
+    def work_scale(self, model):
+        """The ``scale`` :meth:`map_step` applies to ``model``'s steps.
+
+        Phase-qualified LLM graphs ("bert_base#prefill") share the base
+        model's packing calibration — the phase split changes the step
+        mix, not the ciphertext-packing efficiency.
+        """
+        return model.work_scale * self.calibration.work_scale.get(
+            model.name.partition("#")[0], 1.0
+        )
+
     def map_step(self, step, builder, scale):
         """Emit ``step``'s task programs into ``builder`` (public API).
 
-        ``scale`` is the packing work multiplier for unit-parallel steps
-        (``model.work_scale`` times the calibration's per-model factor);
-        pass 1.0 to price a step at face value.  This is the supported
+        ``scale`` is the packing work multiplier for unit-parallel steps,
+        :meth:`work_scale` of the step's model; pass 1.0 to price a step
+        at face value.  This is the supported
         way to map a single step for tracing/profiling — the CLI's
         ``trace`` and ``profile`` commands route through it.
         """

@@ -94,25 +94,17 @@ def prepare_profiles(scenario, fleet_names=None, jobs=1, cache=None,
             # Elastic replicas need service profiles too.
             entries.append(scenario.autoscale.cluster)
         for entry in entries:
-            registry_name, spec = resolve_fleet_cluster(entry)
+            _, spec = resolve_fleet_cluster(entry)
             for model, params_name in batch_keys:
                 profile_key = (model, params_name, entry)
                 if profile_key in seen:
                     continue
                 seen.add(profile_key)
                 params = params_preset(params_name)
-                run_params = None if params_name == "paper" else params
-                if registry_name is not None:
-                    request = RunRequest(benchmark=model,
-                                         system=registry_name,
-                                         with_energy=False,
-                                         params=run_params)
-                else:
-                    request = RunRequest(benchmark=model, cluster=spec,
-                                         with_energy=False,
-                                         params=run_params)
                 keys.append((profile_key, spec, params))
-                requests.append(request)
+                requests.append(RunRequest(benchmark=model, cluster=spec,
+                                           with_energy=False,
+                                           params=params))
     outcome = execute(requests, jobs=jobs, cache=cache,
                       use_cache=use_cache)
     profiles = {}

@@ -116,21 +116,37 @@ class _WorkerContext:
         self._galois = keygen.create_galois_keys(
             [ctx.galois_element_for_step(s) for s in steps])
 
-    def infer(self, values):
-        """Encrypt → dense → activation → dense → decrypt one vector."""
+    def _evaluate(self, ct):
+        """Dense → activation → dense on one ciphertext."""
         from repro.ckks import evaluate_polynomial
 
-        np = self._np
-        x = np.zeros(self.slots)
-        data = np.asarray(values, dtype=float)
-        x[: data.size] = data
-        ct = self._encryptor.encrypt_values(x)
         ct = self._evaluator.rescale(
             self._layer1.apply(ct, self._evaluator, self._galois))
         ct = evaluate_polynomial(ct, list(_ACTIVATION), self._evaluator,
                                  self._relin)
-        ct = self._evaluator.rescale(
+        return self._evaluator.rescale(
             self._layer2.apply(ct, self._evaluator, self._galois))
+
+    def prime(self):
+        """Fill the evaluation-form key and diagonal caches.
+
+        One throwaway pass under its own encryptor: the serving
+        encryptor's randomness is untouched, so every later reply is
+        bit-identical to an unprimed context's.
+        """
+        from repro.ckks import Encryptor
+
+        encryptor = Encryptor(self._encryptor.context,
+                              self._encryptor.public_key, seed=0)
+        self._evaluate(encryptor.encrypt_values(self._np.zeros(self.slots)))
+
+    def infer(self, values):
+        """Encrypt → dense → activation → dense → decrypt one vector."""
+        np = self._np
+        x = np.zeros(self.slots)
+        data = np.asarray(values, dtype=float)
+        x[: data.size] = data
+        ct = self._evaluate(self._encryptor.encrypt_values(x))
         got = self._decryptor.decrypt_values(ct).real
         h = self._w1 @ x
         h = 0.5 * h + 0.25 * h ** 2
@@ -167,11 +183,12 @@ class LiveWorkerPool:
         self._build_lock = threading.Lock()
 
     def warm(self):
-        """Build every worker context up front (the ``--warm`` path)."""
+        """Build and prime every worker context up front (``--warm``)."""
         with self._build_lock:
             while self._built < self.size:
-                self._contexts.put(_WorkerContext(self._built,
-                                                  seed=self.seed))
+                ctx = _WorkerContext(self._built, seed=self.seed)
+                ctx.prime()
+                self._contexts.put(ctx)
                 self._built += 1
         return self.size
 

@@ -87,6 +87,20 @@ _PARAMS_PRESETS = {"paper": PAPER_PARAMS}
 _POLICY_NAMES = ("fifo", "fair", "edf")
 _DISPATCH_MODES = ("pipelined", "serialized")
 
+#: The keys a scenario document and each of its tenants may carry; any
+#: other key (a typo such as ``deadline_second``) is rejected, not
+#: silently ignored.
+_SCENARIO_KEYS = frozenset({
+    "schema", "name", "duration_seconds", "seed", "tenants", "fleets",
+    "policy", "dispatch", "max_queue", "batch", "overheads", "telemetry",
+    "routing", "autoscale",
+})
+_TENANT_KEYS = frozenset({
+    "name", "model", "arrival", "params", "deadline_seconds",
+    "ciphertexts_in", "ciphertexts_out", "slo_budget", "kind",
+    "prompt_tokens", "output_tokens",
+})
+
 _SHORTHAND = re.compile(r"^hydra-(\d+)x(\d+)$")
 
 
@@ -105,10 +119,9 @@ def resolve_fleet_cluster(name):
     """A fleet entry → ``(registry_name_or_None, ClusterSpec)``.
 
     Registry names (``Hydra-M``, ``FAB-L``, ...) resolve through
-    :func:`repro.core.cluster_named` and keep their registry identity so
-    the runtime cache fingerprints them exactly like ``repro bench``
-    does; ``hydra-SxC`` shorthand builds an explicit
-    :class:`~repro.hw.ClusterSpec`.
+    :func:`repro.core.cluster_named`; ``hydra-SxC`` shorthand builds an
+    explicit :class:`~repro.hw.ClusterSpec`.  Run keys fingerprint the
+    spec, so both plan exactly like ``repro bench`` does.
     """
     match = _SHORTHAND.match(name)
     if match:
@@ -350,18 +363,30 @@ class TelemetryConfig:
             raise ValueError("telemetry.recorder_events must be >= 1")
 
 
-def _section(source, where, value, build):
+def _check_keys(source, where, doc, keys):
+    """A key of ``doc`` outside ``keys`` is a ``ValueError`` naming it."""
+    unknown = sorted(set(doc) - keys)
+    if unknown:
+        raise ValueError(f"{source}: {where}: unknown field(s) "
+                         f"{', '.join(map(repr, unknown))}; known: "
+                         f"{', '.join(sorted(keys))}")
+
+
+def _section(source, where, value, build, keys=None):
     """``build(value)`` for a field that must be a JSON object.
 
-    A non-object, or a ``TypeError``/``AttributeError`` while building
-    (an unknown knob, a wrong value type), becomes a ``ValueError``
-    naming ``source`` and ``where``.
+    A non-object, a key outside ``keys`` (when given), or a
+    ``TypeError``/``AttributeError`` while building (an unknown knob, a
+    wrong value type), becomes a ``ValueError`` naming ``source`` and
+    ``where``.
     """
     if not isinstance(value, dict):
         raise ValueError(
             f"{source}: {where} must be a JSON object, "
             f"got {type(value).__name__}"
         )
+    if keys is not None:
+        _check_keys(source, where, value, keys)
     try:
         return build(value)
     except (TypeError, AttributeError) as exc:
@@ -468,6 +493,7 @@ class Scenario:
                 f"{source}: unsupported scenario schema {schema!r} "
                 f"(expected {SCENARIO_SCHEMA!r})"
             )
+        _check_keys(source, "scenario", data, _SCENARIO_KEYS)
         tenants = data["tenants"]
         if not isinstance(tenants, list):
             raise ValueError(
@@ -480,7 +506,8 @@ class Scenario:
             duration_seconds=float(data["duration_seconds"]),
             seed=int(data["seed"]),
             tenants=tuple(
-                _section(source, f"tenants[{i}]", t, TenantSpec.from_dict)
+                _section(source, f"tenants[{i}]", t, TenantSpec.from_dict,
+                         _TENANT_KEYS)
                 for i, t in enumerate(tenants)
             ),
             fleets=_section(source, "fleets", data["fleets"], lambda doc: {

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import render_gantt, trace_summary
+from repro.core import HydraSystem
 from repro.core.cli import build_parser, main
 from repro.hw import hydra_cluster
 from repro.sim import ProgramBuilder, Simulator
@@ -192,6 +193,21 @@ class TestCli:
         assert pids == {0, 1}
         names = {e["name"] for e in doc["traceEvents"]}
         assert "plan.step" in names
+
+    def test_trace_prices_a_phase_graph_like_the_planner(self):
+        import json
+        from dataclasses import replace
+
+        cap = _Capture()
+        assert main(["trace", "--format", "summary", "-s", "Hydra-M",
+                     "-b", "bert_base#decode"], out=cap) == 0
+        payload = json.loads(cap.text)
+        system = HydraSystem.named("Hydra-M")
+        model = system.build_model("bert_base#decode")
+        (step,) = [s for s in model.steps if s.name == payload["step"]]
+        alone = system.planner.run_model(replace(model, steps=[step]),
+                                         with_energy=False)
+        assert payload["makespan_seconds"] == alone.total_seconds
 
     def test_trace_summary_format(self):
         import json

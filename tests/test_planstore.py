@@ -119,24 +119,31 @@ for i in range(30):
 print("done")
 """
 
-# Two processes race one fingerprint key through the executor; the
-# per-key lock must let exactly one of them simulate.
+# Two processes race the same two plans through one cached path; the
+# per-key locks must let exactly one of them compile each plan.
 _RACER_SCRIPT = """
 import json, os, sys, time
+from repro.core import HydraSystem
 from repro.runtime import RunRequest, SqlitePlanStore, execute
 
-cache_dir, go_file, out_path = sys.argv[1:4]
+cache_dir, go_file, out_path, path = sys.argv[1:5]
 store = SqlitePlanStore(cache_dir)
+systems = ("Hydra-S", "Hydra-M")
 while not os.path.exists(go_file):
     time.sleep(0.005)
-request = RunRequest(benchmark="resnet18", system="Hydra-S",
-                     with_energy=False)
-outcome = execute([request], jobs=1, cache=store)
+if path == "system":
+    results = [HydraSystem.named(name, cache=store).run(
+        "resnet18", with_energy=False) for name in systems]
+else:
+    requests = [RunRequest(benchmark="resnet18", system=name,
+                           with_energy=False) for name in systems]
+    jobs = 2 if path == "execute-jobs2" else 1
+    results = [rr.result for rr in execute(requests, jobs=jobs,
+                                           cache=store)]
 with open(out_path, "w") as fh:
     json.dump({
-        "hits": outcome.manifest.hits,
-        "misses": outcome.manifest.misses,
-        "total_seconds": outcome[0].result.total_seconds,
+        "compiled": store.stats.puts,
+        "total_seconds": [r.total_seconds for r in results],
     }, fh)
 """
 
@@ -171,11 +178,13 @@ class TestConcurrentWriters:
         assert store.get("shared-key").total_seconds == result.total_seconds
         assert store.stats.stale == 0
 
-    def test_two_processes_compile_each_plan_once(self, tmp_path):
+    @pytest.mark.parametrize(
+        "path", ["execute-jobs1", "execute-jobs2", "system"])
+    def test_two_processes_compile_each_plan_once(self, tmp_path, path):
         cache_dir = tmp_path / "store"
         go_file = tmp_path / "go"
         outs = [tmp_path / "out-a.json", tmp_path / "out-b.json"]
-        procs = [self._spawn(_RACER_SCRIPT, [cache_dir, go_file, out])
+        procs = [self._spawn(_RACER_SCRIPT, [cache_dir, go_file, out, path])
                  for out in outs]
         time.sleep(0.3)
         go_file.touch()
@@ -183,8 +192,8 @@ class TestConcurrentWriters:
             _, err = proc.communicate(timeout=300)
             assert proc.returncode == 0, err
         reports = [json.loads(out.read_text()) for out in outs]
-        # Exactly one process simulated; the other found the stored
-        # plan (either as an upfront hit or a post-lock late hit).
-        assert sum(r["misses"] for r in reports) == 1
-        assert sum(r["hits"] for r in reports) == 1
+        # Each of the two plans was compiled (and stored) by exactly one
+        # process; the other found it, up front or as a late hit after
+        # waiting on the key's lock.
+        assert sum(r["compiled"] for r in reports) == 2
         assert reports[0]["total_seconds"] == reports[1]["total_seconds"]

@@ -21,6 +21,7 @@ from repro.runtime import (
     SqlitePlanStore,
     default_cache,
     default_cache_dir,
+    execute,
     set_default_cache,
 )
 from repro.sched.planner import Planner
@@ -126,13 +127,11 @@ class TestInvalidationThroughRequests:
             benchmark="resnet18", system="Hydra-S", with_energy=False,
             calibration=replace(DEFAULT_CALIBRATION, work_scale=scales),
         )
-        from repro.runtime import run_one
-
-        r_base = run_one(base, cache=cache)
+        (r_base,) = execute([base], cache=cache)
         assert not r_base.cache_hit
-        r_changed = run_one(changed, cache=cache)
+        (r_changed,) = execute([changed], cache=cache)
         assert not r_changed.cache_hit  # calibration change → miss
         assert (r_changed.result.total_seconds
                 > r_base.result.total_seconds)
-        assert run_one(base, cache=cache).cache_hit
-        assert run_one(changed, cache=cache).cache_hit
+        assert all(rr.cache_hit
+                   for rr in execute([base, changed], cache=cache))

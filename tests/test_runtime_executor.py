@@ -13,7 +13,6 @@ from repro.runtime import (
     SqlitePlanStore,
     execute,
     paper_grid,
-    run_one,
 )
 
 
@@ -125,14 +124,14 @@ class TestCachingAndDedup:
         execute([request], jobs=1, cache=cache, use_cache=False)
         assert len(cache) == 0 and cache.stats.lookups == 0
 
-    def test_run_one_miss_then_hit(self):
+    def test_single_request_miss_then_hit(self):
         request = RunRequest(benchmark="resnet18",
                              cluster=hydra_cluster(1, 1),
                              with_energy=False)
         cache = MemoryCache()
-        first = run_one(request, cache=cache)
+        (first,) = execute([request], cache=cache)
         assert not first.cache_hit and first.seconds > 0
-        second = run_one(request, cache=cache)
+        (second,) = execute([request], cache=cache)
         assert second.cache_hit and second.seconds == 0.0
         assert second.result is first.result
 

@@ -2,6 +2,7 @@
 regression (stale cross-config cache hits)."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,26 @@ class TestFingerprintSensitivity:
         assert fp == code_fingerprint()
         assert len(fp) == 12
         int(fp, 16)  # hex digest
+
+    @pytest.mark.parametrize("edited", ["ir/ops.py", "llm/profile.py"])
+    def test_code_fingerprint_covers_planning_source(self, edited,
+                                                     tmp_path, monkeypatch):
+        import shutil
+
+        import repro
+        from repro.runtime import fingerprint
+
+        package = Path(repro.__file__).resolve().parent
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        monkeypatch.setattr(repro, "__file__", str(copy / "__init__.py"))
+        monkeypatch.setattr(fingerprint, "_code_digest", None)
+        before = code_fingerprint()
+        with open(copy / edited, "a", encoding="utf-8") as fh:
+            fh.write("# edited\n")
+        monkeypatch.setattr(fingerprint, "_code_digest", None)
+        assert code_fingerprint() != before
 
     def test_config_fingerprint_length(self):
         fp = config_fingerprint(hydra_cluster(1, 2), PAPER_PARAMS,

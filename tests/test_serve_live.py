@@ -78,6 +78,25 @@ class TestWorkerPool:
     def test_warm_builds_every_context_once(self, pool):
         assert pool.warm() == 1  # idempotent, nothing rebuilt
 
+    def test_warm_primes_the_evaluation_form_caches(self):
+        from repro.obs import MetricsRegistry, use_registry
+        from repro.serve.live import _WorkerContext
+
+        fresh = LiveWorkerPool(size=1)
+        try:
+            fresh.warm()
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                reply = fresh.infer([0.1, -0.2, 0.3])
+        finally:
+            fresh.shutdown()
+        # The first request already runs at the warm-worker count; cache
+        # fills (7,703 NTTs cold) were paid inside warm().
+        ntts = registry.snapshot()["counters"]["math.ntt.calls"]
+        assert sum(ntts.values()) == 2467
+        # Priming leaves the serving encryptor's randomness alone.
+        assert reply == _WorkerContext(0).infer([0.1, -0.2, 0.3])
+
     def test_inference_matches_plaintext_reference(self, pool):
         result = pool.infer([0.25, -0.5, 0.125])
         assert result["outputs"] == pytest.approx(

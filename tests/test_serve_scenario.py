@@ -121,6 +121,12 @@ MALFORMED = {
                            r"tenants\[0\] must be a JSON object"),
     "fleets-is-a-list": ({"fleets": [["Hydra-S"]]},
                          "fleets must be a JSON object"),
+    "tenant-unknown-key": (
+        {"tenants": [{"name": "t0", "model": "resnet18",
+                      "deadline_second": 5}]},
+        r"tenants\[0\]: unknown field\(s\) 'deadline_second'"),
+    "top-level-unknown-key": ({"max_queues": 8},
+                              r"scenario: unknown field\(s\) 'max_queues'"),
 }
 
 
