@@ -11,6 +11,7 @@ memory-intensive FHE accelerators (FAB, MAD, Poseidon all reason this way).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,11 +84,28 @@ class OpComponents:
         return cls(**data)
 
 
+def _per_level(method):
+    """Memoize an op price: it is pure in (card, params, level), and
+    :class:`OpComponents` is frozen, so every caller can share it."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def priced(self, level):
+        key = (name, level)
+        price = self._prices.get(key)
+        if price is None:
+            price = self._prices[key] = method(self, level)
+        return price
+
+    return priced
+
+
 class OpCostModel:
     """Prices FHE operations on one :class:`repro.hw.CardSpec`.
 
     Parameters default to the paper's evaluation setting
     (``N = 2**16``, ``logQ = 1260``, ``log(PQ) = 1692``, 36-bit words).
+    Per-level op prices are computed once per model.
     """
 
     def __init__(self, card, params=PAPER_PARAMS):
@@ -99,6 +117,7 @@ class OpCostModel:
         self._t_ntt_limb = card.ntt_stage_passes * self._t_pass
         self._limb_bytes = params.poly_degree * _WORD_BYTES
         self._special = params.special_limbs
+        self._prices = {}
 
     # ------------------------------------------------------------------
     # Sizing helpers
@@ -159,22 +178,26 @@ class OpCostModel:
     # FHE operations
     # ------------------------------------------------------------------
 
+    @_per_level
     def hadd(self, level):
         """Homomorphic addition: 2 polys of limb-wise modular adds."""
         l = self.limbs(level)
         return self._make(ma_passes=2 * l, hbm_limb_passes=6 * l)
 
+    @_per_level
     def pmult(self, level):
         """Plaintext-ciphertext multiply: 2 polys of limb-wise modmuls."""
         l = self.limbs(level)
         return self._make(mm_passes=2 * l, hbm_limb_passes=5 * l)
 
+    @_per_level
     def rescale(self, level):
         """Divide-and-round by the last modulus (both polys)."""
         l = self.limbs(level)
         return self._make(ntt_limbs=2, mm_passes=2 * l, ma_passes=2 * l,
                           hbm_limb_passes=6 * l)
 
+    @_per_level
     def keyswitch(self, level):
         """Hybrid keyswitch: digit decomposition + key inner product.
 
@@ -197,15 +220,18 @@ class OpCostModel:
                           ma_passes=ma_passes, hbm_limb_passes=data_passes,
                           key_limb_passes=key_passes)
 
+    @_per_level
     def automorphism(self, level):
         """Index permutation of both polys (the Automorphism unit)."""
         l = self.limbs(level)
         return self._make(auto_passes=2 * l, hbm_limb_passes=4 * l)
 
+    @_per_level
     def rotation(self, level):
         """Slot rotation = automorphism + keyswitch."""
         return self.automorphism(level) + self.keyswitch(level)
 
+    @_per_level
     def cmult(self, level):
         """Ciphertext-ciphertext multiply incl. relinearization."""
         l = self.limbs(level)

@@ -17,6 +17,11 @@ regression slows the workload in both views, while a machine-speed
 shift moves exactly one of them.  A workload present in the baseline
 but missing from the new report is a failure (the pinned suite must
 never silently shrink).
+
+Work counts gate exactly.  Each record's ``ops_per_run`` (evaluator
+ops, NTTs, simulator events, ...) is deterministic on any host, so a
+workload also fails when any count its baseline records rises.  A change
+that adds work on purpose regenerates that baseline row.
 """
 
 from __future__ import annotations
@@ -100,6 +105,8 @@ class WorkloadDelta:
     norm_ratio: float # new_norm / old_norm (machine-normalized)
     regressed: bool
     missing: bool = False
+    #: ``(name, old, new)`` for every baseline count that rose
+    counts_rose: tuple = ()
 
     @property
     def ratio(self):
@@ -120,7 +127,8 @@ class CompareResult:
 
     @property
     def regressions(self):
-        return tuple(d for d in self.deltas if d.regressed or d.missing)
+        return tuple(d for d in self.deltas
+                     if d.regressed or d.missing or d.counts_rose)
 
     @property
     def has_regressions(self):
@@ -140,16 +148,23 @@ class CompareResult:
                 )
                 continue
             status = "REGRESSED" if d.regressed else "ok"
+            if d.counts_rose:
+                status += ", COUNT ROSE: " + ", ".join(
+                    f"{name} {old:g} -> {new:g}"
+                    for name, old, new in d.counts_rose
+                )
             lines.append(
                 f"{d.name:34s} {d.old_norm:10.3f} {d.new_norm:10.3f} "
                 f"{d.change_pct:+7.1f}%  {status}"
             )
         verdict = (
             f"FAIL: {len(self.regressions)} workload(s) exceed "
-            f"+{self.max_regress_pct:g}% (machine-normalized)"
+            f"+{self.max_regress_pct:g}% (machine-normalized), raised a "
+            f"work count or went missing"
             if self.has_regressions
             else f"OK: no workload regressed beyond "
-                 f"+{self.max_regress_pct:g}% (machine-normalized)"
+                 f"+{self.max_regress_pct:g}% (machine-normalized) or "
+                 f"raised a work count"
         )
         lines.append(verdict)
         return "\n".join(lines)
@@ -160,7 +175,8 @@ def compare_reports(old, new, max_regress_pct=20.0):
 
     A workload regresses when **both** ``new/old`` wall-time medians and
     the calibration-normalized medians exceed ``1 + max_regress_pct/100``
-    (see the module docstring for why both views must agree).  Workloads
+    (see the module docstring for why both views must agree), or when
+    any ``ops_per_run`` count of its baseline record rises.  Workloads
     only present in the new report are informational (the suite grew);
     workloads only present in the baseline are failures (the suite
     shrank).
@@ -189,9 +205,17 @@ def compare_reports(old, new, max_regress_pct=20.0):
         new_norm = float(new_record["median_ns"]) / float(
             new_record.get("calibration_ns", new_cal))
         norm_ratio = new_norm / old_norm
+        new_ops = new_record.get("ops_per_run", {})
+        counts_rose = tuple(
+            (op, count, new_ops[op])
+            for op, count in sorted(old_record.get("ops_per_run",
+                                                   {}).items())
+            if new_ops.get(op, 0) > count
+        )
         deltas.append(WorkloadDelta(
             name=name, old_norm=old_norm, new_norm=new_norm,
             raw_ratio=raw_ratio, norm_ratio=norm_ratio,
             regressed=min(raw_ratio, norm_ratio) > threshold,
+            counts_rose=counts_rose,
         ))
     return CompareResult(deltas=tuple(deltas), max_regress_pct=max_regress_pct)

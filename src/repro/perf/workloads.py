@@ -6,8 +6,9 @@ bit-identical inputs) and a ``run`` callable that executes exactly one
 operation of the kernel under test.  The suite covers the CKKS hot paths
 that dominate every paper experiment — the same kernels Hydra accelerates
 in hardware (Section IV): NTT, RNS limb arithmetic, keyswitching and
-rotation, BSGS linear transforms, one bootstrapping stage, one
-end-to-end scheduled simulation step of ``Hydra-S resnet18``, the
+rotation, BSGS linear transforms, one bootstrapping stage, three
+end-to-end scheduled simulation steps (``Hydra-S resnet18`` and the
+broadcast-heavy Hydra-L and FAB-L steps of cold plans), the
 :mod:`repro.serve` discrete-event serving loop, and one live-server
 encrypted inference.
 
@@ -257,18 +258,23 @@ def _make_bootstrap_workload():
 
 
 # ----------------------------------------------------------------------
-# One end-to-end scheduled simulation step (Hydra-S, resnet18)
+# One end-to-end scheduled simulation step
 # ----------------------------------------------------------------------
 
-def _sim_state(_seed):
-    from repro.core.system import HydraSystem
+def _sim_workload(name, description, system_name, graph, step_name):
+    """Plan + simulate one named step of ``graph`` on ``system_name``."""
 
-    system = HydraSystem.named("Hydra-S")
-    model = system.build_model("resnet18")
-    step = next((s for s in model.steps if s.is_unit_parallel),
-                model.steps[0])
-    return {"system": system, "step": step,
-            "scale": system.planner.work_scale(model)}
+    def setup(_seed):
+        from repro.core.system import HydraSystem
+
+        system = HydraSystem.named(system_name)
+        model = system.build_model(graph)
+        step = next(s for s in model.steps if s.name == step_name)
+        return {"system": system, "step": step,
+                "scale": system.planner.work_scale(model)}
+
+    return PerfWorkload(name=name, description=description, setup=setup,
+                        run=_run_sim_step)
 
 
 def _run_sim_step(state):
@@ -281,13 +287,27 @@ def _run_sim_step(state):
     return sim.run(builder.build(), step=state["step"].name)
 
 
-def _make_sim_workload():
-    return PerfWorkload(
-        name="sim.hydra_s.resnet18_step",
-        description="plan + simulate one ResNet-18 step on Hydra-S",
-        setup=_sim_state,
-        run=_run_sim_step,
-    )
+def _make_sim_workloads():
+    return [
+        _sim_workload(
+            "sim.hydra_s.resnet18_step",
+            "plan + simulate one ResNet-18 step on Hydra-S",
+            "Hydra-S", "resnet18", "convbn_1"),
+        # The cold-plan hot path: 64 cards, every PCMM partial sum
+        # broadcast through the switch (16,128 deliveries).
+        _sim_workload(
+            "sim.hydra_l.bert_decode_pcmm_step",
+            "plan + simulate one bert_base#decode PCMM step on Hydra-L "
+            "(switch broadcasts)",
+            "Hydra-L", "bert_base#decode", "pcmm_1"),
+        # FAB's host-mediated fabric: each broadcast is replicated
+        # pairwise through the hosts' LAN ports.
+        _sim_workload(
+            "sim.fab_l.resnet18_convbn_step",
+            "plan + simulate one ResNet-18 ConvBN step on FAB-L "
+            "(host-replicated broadcasts)",
+            "FAB-L", "resnet18", "convbn_1"),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -406,7 +426,7 @@ def _build_suite():
     workloads.extend(_make_ckks_workloads())
     workloads.append(_make_bsgs_workload())
     workloads.append(_make_bootstrap_workload())
-    workloads.append(_make_sim_workload())
+    workloads.extend(_make_sim_workloads())
     workloads.append(_make_serve_workload())
     workloads.append(_make_serve_stream_workload())
     workloads.append(_make_serve_llm_workload())

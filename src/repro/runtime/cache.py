@@ -27,6 +27,7 @@ __all__ = [
     "CacheStats",
     "RunCache",
     "MemoryCache",
+    "StaleEntry",
     "default_cache",
     "set_default_cache",
     "default_cache_dir",
@@ -69,12 +70,17 @@ class CacheStats:
         return self.hits / self.lookups
 
 
+class StaleEntry(Exception):
+    """Raised by ``_load`` for an entry that exists but cannot be used."""
+
+
 class RunCache:
     """Maps fingerprint keys to :class:`ModelRunResult` objects.
 
     Subclasses implement ``_load`` / ``_store`` / ``clear`` /
     ``__contains__`` / ``__len__``; ``get``/``put``/``claim`` add stats
-    accounting.
+    accounting.  ``_load`` returns None for an absent key and raises
+    :class:`StaleEntry` for an unusable one.
     """
 
     def __init__(self):
@@ -82,7 +88,11 @@ class RunCache:
 
     def get(self, key):
         """The cached result for ``key``, or None (counted as hit/miss)."""
-        result = self._load(key)
+        try:
+            result = self._load(key)
+        except StaleEntry:
+            self.stats.stale += 1
+            result = None
         if result is None:
             self.stats.misses += 1
         else:
@@ -109,10 +119,15 @@ class RunCache:
 
         Yields the entry another process stored while this one waited
         (a late hit, counted as a hit), or None: the caller then plans
-        ``key`` and :meth:`put`-s it before leaving the block.
+        ``key`` and :meth:`put`-s it before leaving the block.  The
+        re-check belongs to the :meth:`get` that missed, which already
+        counted a stale entry.
         """
         with self.lock(key):
-            late = self._load(key)
+            try:
+                late = self._load(key)
+            except StaleEntry:
+                late = None
             if late is not None:
                 self.stats.hits += 1
             yield late

@@ -35,7 +35,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None
 
-from repro.runtime.cache import RunCache, default_cache_dir
+from repro.runtime.cache import RunCache, StaleEntry, default_cache_dir
 from repro.sched.planner import ModelRunResult
 
 __all__ = ["SqlitePlanStore"]
@@ -121,11 +121,10 @@ class SqlitePlanStore(RunCache):
                 raise ValueError(f"unsupported plan format {fmt!r}")
             payload = json.loads(blob)
             result = ModelRunResult.from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            # Corrupt or incompatible entry — count it stale and treat
-            # as a miss; a fresh run will overwrite it.
-            self.stats.stale += 1
-            return None
+        except (ValueError, KeyError, TypeError) as exc:
+            # Corrupt or incompatible entry: a stale miss, which a fresh
+            # run will overwrite.
+            raise StaleEntry(key) from exc
         if self._memory is not None:
             self._memory[key] = result
         return result

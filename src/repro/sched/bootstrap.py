@@ -109,6 +109,25 @@ def optimal_dft_parameters(cost, slots_log, num_cards, level=None,
     """
     if level is None:
         level = cost.params.max_level
+    # A composition's total is a sum of independent per-position minima,
+    # so each (level, radix) cell is priced once per search.
+    cells = {}
+
+    def cell(lvl, r):
+        best_cell = cells.get((lvl, r))
+        if best_cell is None:
+            candidates = []
+            b = 1
+            while b <= 2 * r:
+                candidates.append(b)
+                b *= 2
+            best_cell = cells[(lvl, r)] = min(
+                (dft_time_model(cost, lvl, r, b, num_cards, work_scale,
+                                comm_bandwidth=comm_bandwidth), b)
+                for b in candidates
+            )
+        return best_cell
+
     best = None
     best_time = math.inf
     for exponents in _compositions(slots_log, levels):
@@ -116,18 +135,7 @@ def optimal_dft_parameters(cost, slots_log, num_cards, level=None,
         time_total = 0.0
         baby = []
         for i, r in enumerate(radices):
-            lvl = max(0, level - i)
-            candidates = []
-            b = 1
-            while b <= 2 * r:
-                candidates.append(b)
-                b *= 2
-            timed = [
-                (dft_time_model(cost, lvl, r, b, num_cards, work_scale,
-                                comm_bandwidth=comm_bandwidth), b)
-                for b in candidates
-            ]
-            t_min, b_min = min(timed)
+            t_min, b_min = cell(max(0, level - i), r)
             time_total += t_min
             baby.append(b_min)
         if time_total < best_time:

@@ -21,21 +21,18 @@ __all__ = ["HydraSwitchFabric", "FabHostFabric", "NullFabric", "build_fabric"]
 class _Resource:
     """A serially-reusable link with bandwidth and per-use latency."""
 
-    __slots__ = ("bandwidth", "latency", "free_at", "busy_total")
+    __slots__ = ("bandwidth", "latency", "free_at")
 
     def __init__(self, bandwidth, latency):
         self.bandwidth = bandwidth
         self.latency = latency
         self.free_at = 0.0
-        self.busy_total = 0.0
 
     def occupy(self, size, earliest):
         """Occupy for a ``size``-byte transfer; returns (start, end)."""
         start = max(earliest, self.free_at)
-        duration = self.latency + size / self.bandwidth
-        end = start + duration
+        end = start + (self.latency + size / self.bandwidth)
         self.free_at = end
-        self.busy_total += duration
         return start, end
 
 
@@ -68,40 +65,52 @@ class HydraSwitchFabric:
                 f"card {cluster.card.name!r} has no DTU; cannot build the "
                 f"switch fabric"
             )
-        self._tx = [_Resource(bw, 0.0) for _ in range(cluster.total_cards)]
-        self._rx = [_Resource(bw, 0.0) for _ in range(cluster.total_cards)]
+        n = cluster.total_cards
+        self._bandwidth = bw
+        self._tx = [_Resource(bw, 0.0) for _ in range(n)]
+        self._rx = [_Resource(bw, 0.0) for _ in range(n)]
         self._intra_latency = net.intra_server_latency
         self._inter_latency = net.inter_server_latency
+        # Switch latency per (src, dst): one server tier or two.
+        per_server = cluster.cards_per_server
+        self._latency = [
+            [self._intra_latency if src // per_server == dst // per_server
+             else self._inter_latency for dst in range(n)]
+            for src in range(n)
+        ]
 
     def reset(self):
         for r in self._tx + self._rx:
             r.free_at = 0.0
-            r.busy_total = 0.0
-
-    def _latency(self, src, dst):
-        if self.cluster.same_server(src, dst):
-            return self._intra_latency
-        return self._inter_latency
 
     def unicast(self, src, dst, size, start):
         """Returns (sender_release, {dst: delivery_time})."""
         _, tx_end = self._tx[src].occupy(size, start)
-        latency = self._latency(src, dst)
-        _, rx_end = self._rx[dst].occupy(size, tx_end + latency - size
-                                         / self._rx[dst].bandwidth)
-        return tx_end, {dst: max(rx_end, tx_end + latency)}
+        return tx_end, self._receive(src, (dst,), size, tx_end)
 
     def broadcast(self, src, dsts, size, start):
         """One TX occupation; the switch replicates to every receiver."""
         _, tx_end = self._tx[src].occupy(size, start)
+        return tx_end, self._receive(src, dsts, size, tx_end)
+
+    def _receive(self, src, dsts, size, tx_end):
+        """Cut-through into each receiver's RX port: the last byte lands
+        one switch latency after it left, or when the port drains."""
+        wire = size / self._bandwidth
+        latency = self._latency[src]
+        rx = self._rx
         deliveries = {}
         for dst in dsts:
-            latency = self._latency(src, dst)
-            _, rx_end = self._rx[dst].occupy(
-                size, tx_end + latency - size / self._rx[dst].bandwidth
-            )
-            deliveries[dst] = max(rx_end, tx_end + latency)
-        return tx_end, deliveries
+            # rx[dst].occupy(size, arrival - wire) and max(), inlined:
+            # this loop runs once per receiver of every broadcast.
+            port = rx[dst]
+            arrival = tx_end + latency[dst]
+            earliest = arrival - wire
+            free_at = port.free_at
+            end = (free_at if free_at > earliest else earliest) + wire
+            port.free_at = end
+            deliveries[dst] = arrival if arrival > end else end
+        return deliveries
 
 
 class FabHostFabric:
@@ -137,7 +146,6 @@ class FabHostFabric:
         for r in (self._pair_link + self._pcie + self._lan_tx
                   + self._lan_rx):
             r.free_at = 0.0
-            r.busy_total = 0.0
 
     @staticmethod
     def _host(card_index):

@@ -143,11 +143,10 @@ class ProgramBuilder:
         self.programs[src].comm.append(
             SendTask(dst=BROADCAST, size=size, after_compute=after, tag=tag)
         )
+        recv = RecvTask(src=src, size=size, tag=tag)  # frozen: shareable
         for node in range(self.num_nodes):
             if node != src:
-                self.programs[node].comm.append(
-                    RecvTask(src=src, size=size, tag=tag)
-                )
+                self.programs[node].comm.append(recv)
 
     def multicast(self, src, dsts, size, after=None, tag="comm"):
         """Multicast from ``src`` to the node subset ``dsts``."""
@@ -162,10 +161,9 @@ class ProgramBuilder:
         self.programs[src].comm.append(
             SendTask(dst=dsts, size=size, after_compute=after, tag=tag)
         )
+        recv = RecvTask(src=src, size=size, tag=tag)
         for node in dsts:
-            self.programs[node].comm.append(
-                RecvTask(src=src, size=size, tag=tag)
-            )
+            self.programs[node].comm.append(recv)
 
     def build(self):
         """Return the per-node programs (the builder can keep being used)."""

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,11 +38,16 @@ EXPECTED_WORKLOADS = (
     "ckks.bsgs_matmul",
     "ckks.bootstrap.coeff_to_slot",
     "sim.hydra_s.resnet18_step",
+    "sim.hydra_l.bert_decode_pcmm_step",
+    "sim.fab_l.resnet18_convbn_step",
     "serve.steady.hydra_m",
     "serve.stream.hydra_m",
     "serve.llm.chat",
     "serve.live.infer",
 )
+
+
+_BASELINE = Path(__file__).resolve().parents[1] / "BENCH_perf.json"
 
 
 def _report(calibration=1000.0, **medians):
@@ -192,6 +198,37 @@ class TestCompare:
         assert not compare_reports(
             old, _report(**{"a": 1.0}), 20.0).has_regressions
 
+    def test_raised_count_fails_exactly(self):
+        old = _report(**{"k": 1000.0})
+        old["workloads"]["k"]["ops_per_run"] = {"sim.engine.events": 8.0,
+                                                "sim.engine.runs": 1.0}
+        new = copy.deepcopy(old)
+        # Faster, one count lower, one count new: all pass.
+        new["workloads"]["k"]["median_ns"] = 500.0
+        new["workloads"]["k"]["ops_per_run"] = {"sim.engine.events": 7.0,
+                                                "sim.engine.runs": 1.0,
+                                                "extra": 5.0}
+        assert not compare_reports(old, new, 20.0).has_regressions
+        new["workloads"]["k"]["ops_per_run"]["sim.engine.runs"] = 1.5
+        result = compare_reports(old, new, 20.0)
+        assert [d.name for d in result.regressions] == ["k"]
+        assert result.regressions[0].counts_rose == (
+            ("sim.engine.runs", 1.0, 1.5),)
+        assert "COUNT ROSE: sim.engine.runs 1 -> 1.5" in result.render()
+
+    def test_committed_baseline_count_gate(self):
+        """Any committed count edited down by 1 fails the compare."""
+        baseline = load_report(_BASELINE)
+        assert not compare_reports(baseline, baseline, 20.0).has_regressions
+        for name, record in baseline["workloads"].items():
+            for op, count in record["ops_per_run"].items():
+                if count < 1:
+                    continue
+                edited = copy.deepcopy(baseline)
+                edited["workloads"][name]["ops_per_run"][op] = count - 1
+                result = compare_reports(edited, baseline, 20.0)
+                assert [d.name for d in result.regressions] == [name]
+
 
 class TestCli:
     def _write(self, path, report):
@@ -215,6 +252,18 @@ class TestCli:
         assert main(["perf", "compare", str(tmp_path / "old.json"),
                      str(tmp_path / "slow.json"),
                      "--max-regress", "150"], out=lines.append) == 0
+
+    def test_compare_fails_on_a_lowered_baseline_count(self, tmp_path):
+        baseline = load_report(_BASELINE)
+        edited = copy.deepcopy(baseline)
+        ops = edited["workloads"]["sim.hydra_l.bert_decode_pcmm_step"][
+            "ops_per_run"]
+        ops["sim.engine.events"] -= 1
+        self._write(tmp_path / "edited.json", edited)
+        lines = []
+        assert main(["perf", "compare", str(tmp_path / "edited.json"),
+                     str(_BASELINE)], out=lines.append) == 1
+        assert "COUNT ROSE: sim.engine.events" in "\n".join(lines)
 
     def test_compare_rejects_malformed_input(self, tmp_path):
         bad = tmp_path / "bad.json"

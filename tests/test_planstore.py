@@ -86,6 +86,27 @@ class TestSqlitePlanStore:
         assert store.get("k") is None
         assert store.stats.stale == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_corrupt_entry_counts_stale_once_per_lookup(self, tmp_path,
+                                                        result, jobs):
+        """``execute`` looks the key up, then re-checks it under the
+        key's lock: one lookup, one stale miss."""
+        from repro.runtime import RunRequest, execute
+
+        request = RunRequest(benchmark="resnet18",
+                             cluster=hydra_cluster(1, 2), with_energy=False)
+        store = SqlitePlanStore(tmp_path, memory=False)
+        store.put(request.key(), result)
+        with store._connect() as conn:
+            conn.execute("UPDATE plans SET payload = '{not json'")
+        outcome = execute([request], jobs=jobs, cache=store)
+        counters = outcome.manifest.metrics["counters"]
+        assert counters["runtime.cache.stale"][""] == 1
+        assert counters["runtime.cache.misses"][""] == 1
+        assert (store.stats.stale, store.stats.misses) == (1, 1)
+        # The fresh plan overwrote the corrupt entry.
+        assert SqlitePlanStore(tmp_path).get(request.key()) is not None
+
     def test_unknown_format_is_a_stale_miss(self, tmp_path, result):
         store = SqlitePlanStore(tmp_path, memory=False)
         store.put("k", result)
