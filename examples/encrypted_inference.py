@@ -4,6 +4,8 @@ A tiny two-layer network — a dense layer followed by a polynomial
 activation (the "Non-linear" layer of paper Table I) and a second dense
 layer — evaluated *homomorphically*: the client encrypts its features,
 the server computes on ciphertexts only, the client decrypts the result.
+The model is an :class:`~repro.ckks.EncryptedNetwork`, the same class
+the live server's workers run.
 
 This is the computation Hydra accelerates, at laptop-scale parameters::
 
@@ -13,25 +15,20 @@ This is the computation Hydra accelerates, at laptop-scale parameters::
 import numpy as np
 
 from repro.ckks import (
+    ActivationLayer,
     CkksContext,
     Decryptor,
+    DenseLayer,
+    EncryptedNetwork,
     Encryptor,
     Evaluator,
     KeyGenerator,
-    LinearTransform,
-    evaluate_polynomial,
     toy_parameters,
 )
 
 #: Smooth degree-2 activation (the square activation family used by
 #: early FHE CNNs; paper-style non-linear layers are higher degree).
 ACTIVATION = [0.0, 0.5, 0.25]
-
-
-def plaintext_reference(x, w1, w2):
-    h = w1 @ x
-    h = 0.5 * h + 0.25 * h ** 2
-    return w2 @ h
 
 
 def main():
@@ -45,18 +42,15 @@ def main():
     encryptor = Encryptor(ctx, keygen.create_public_key(), seed=1)
     decryptor = Decryptor(ctx, keygen.secret_key)
     evaluator = Evaluator(ctx)
-    relin = keygen.create_relin_key()
 
     # Server-side model weights (plaintext; only activations are secret).
-    w1 = 0.3 * rng.normal(size=(n, n))
-    w2 = 0.3 * rng.normal(size=(n, n))
-    layer1 = LinearTransform(ctx, w1)
-    layer2 = LinearTransform(ctx, w2)
-    steps = sorted(set(layer1.required_rotation_steps())
-                   | set(layer2.required_rotation_steps()))
-    galois = keygen.create_galois_keys(
-        [ctx.galois_element_for_step(s) for s in steps]
-    )
+    model = EncryptedNetwork([
+        DenseLayer(0.3 * rng.normal(size=(n, n))),
+        ActivationLayer(coefficients=ACTIVATION),
+        DenseLayer(0.3 * rng.normal(size=(n, n))),
+    ]).bind(ctx)
+    # The relin key and Galois keys for exactly the rotations it needs.
+    keys = model.create_keys(keygen)
 
     # Client encrypts its features.
     x = rng.normal(scale=0.5, size=n)
@@ -64,14 +58,12 @@ def main():
     print(f"encrypted {n} features at level {ct.level}")
 
     # Server: dense -> activation -> dense, all on ciphertexts.
-    ct = evaluator.rescale(layer1.apply(ct, evaluator, galois))
-    ct = evaluate_polynomial(ct, ACTIVATION, evaluator, relin)
-    ct = evaluator.rescale(layer2.apply(ct, evaluator, galois))
+    ct = model.apply(ct, evaluator, keys)
     print(f"inference done at level {ct.level}")
 
     # Client decrypts.
     got = decryptor.decrypt_values(ct).real
-    want = plaintext_reference(x, w1, w2)
+    want = model.reference(x)
     err = np.max(np.abs(got - want))
     print(f"max error vs plaintext reference: {err:.2e}")
     print(f"first outputs: encrypted={np.round(got[:4], 4)} "

@@ -34,7 +34,6 @@ from repro.ckks.approx import (
 from repro.ckks.bootstrap import Bootstrapper, BootstrapKeys
 from repro.ckks.convolution import Conv2d, average_pool_kernel
 from repro.ckks.matmul import (
-    PlainMatrixProduct,
     ciphertext_dot,
     ciphertext_matrix_vector,
     sum_slots,
@@ -76,7 +75,6 @@ __all__ = [
     "NoiseEstimator",
     "PoolLayer",
     "measure_noise",
-    "PlainMatrixProduct",
     "average_pool_kernel",
     "chebyshev_fit",
     "ciphertext_dot",

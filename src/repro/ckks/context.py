@@ -77,8 +77,3 @@ class CkksContext:
     def conjugation_element(self):
         """Galois element implementing complex conjugation of slots."""
         return 2 * self.params.poly_degree - 1
-
-    def rotation_steps_for_elements(self, steps_list):
-        """Deduplicated Galois elements for a list of rotation steps."""
-        return sorted({self.galois_element_for_step(s) for s in steps_list
-                       if s % self.params.slot_count != 0})

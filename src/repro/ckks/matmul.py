@@ -1,11 +1,11 @@
-"""Functional PCMM / CCMM building blocks on the CKKS substrate.
+"""Functional CCMM building blocks on the CKKS substrate.
 
 Paper Section III-A describes the transformer kernels of [13]:
 
 * **PCMM** (plaintext-ciphertext matrix multiplication): encrypted
   activations against plaintext weights — slot-wise this is the BSGS
-  :class:`~repro.ckks.linear.LinearTransform`; this module adds the
-  rectangular packing around it.
+  :class:`~repro.ckks.linear.LinearTransform`, zero-padded from a
+  rectangular matrix by :class:`~repro.ckks.network.DenseLayer`.
 * **CCMM** (ciphertext-ciphertext matrix multiplication): both operands
   encrypted; built from slot products plus rotate-and-sum reductions —
   each reduction is the Table-I CCMM unit's "multiple rotations".
@@ -16,12 +16,7 @@ the same structure at paper scale.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.ckks.linear import LinearTransform
-
-__all__ = ["sum_slots", "ciphertext_dot", "PlainMatrixProduct",
-           "ciphertext_matrix_vector"]
+__all__ = ["sum_slots", "ciphertext_dot", "ciphertext_matrix_vector"]
 
 
 def sum_slots(ct, evaluator, galois_keys, width=None):
@@ -63,38 +58,6 @@ def required_rotation_steps_for_sum(width):
         steps.append(step)
         step *= 2
     return steps
-
-
-class PlainMatrixProduct:
-    """PCMM: multiply an encrypted vector by a plaintext matrix.
-
-    Wraps :class:`LinearTransform` with rectangular ``(rows, cols)``
-    shapes zero-padded into the slot grid.
-    """
-
-    def __init__(self, context, matrix):
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.ndim != 2:
-            raise ValueError("matrix must be 2-D")
-        n = context.params.slot_count
-        rows, cols = m.shape
-        if rows > n or cols > n:
-            raise ValueError(
-                f"matrix {m.shape} exceeds the {n}-slot grid"
-            )
-        padded = np.zeros((n, n), dtype=np.complex128)
-        padded[:rows, :cols] = m
-        self.shape = (rows, cols)
-        self._transform = LinearTransform(context, padded)
-
-    def required_rotation_steps(self):
-        return self._transform.required_rotation_steps()
-
-    def apply(self, ct, evaluator, galois_keys):
-        """Return ``rescale(M @ slots(ct))`` (output in slots [0, rows))."""
-        return evaluator.rescale(
-            self._transform.apply(ct, evaluator, galois_keys)
-        )
 
 
 def ciphertext_matrix_vector(row_cts, ct_vector, evaluator, relin_key,

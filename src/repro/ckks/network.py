@@ -1,10 +1,12 @@
 """Composable encrypted neural-network layers on the CKKS substrate.
 
 Assembles the functional kernels — :class:`~repro.ckks.convolution.Conv2d`,
-:class:`~repro.ckks.matmul.PlainMatrixProduct`, and polynomial
+the BSGS :class:`~repro.ckks.linear.LinearTransform`, and polynomial
 activations — into an :class:`EncryptedNetwork` that runs a whole small
 CNN homomorphically: the computation the Hydra hardware accelerates,
-executed in real ciphertext arithmetic at laptop scale.
+executed in real ciphertext arithmetic at laptop scale.  The live
+server's workers and the ``validate-ops`` attention block run this
+class.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 
 from repro.ckks.approx import relu_coefficients
 from repro.ckks.convolution import Conv2d, average_pool_kernel
-from repro.ckks.matmul import PlainMatrixProduct
+from repro.ckks.linear import LinearTransform
 from repro.ckks.polyeval import evaluate_polynomial, power_tree_depth
 
 __all__ = ["EncryptedNetwork", "ConvLayer", "ActivationLayer",
@@ -83,23 +85,39 @@ class ActivationLayer:
 
 
 class DenseLayer:
-    """Fully connected layer (PCMM against plaintext weights)."""
+    """Fully connected layer (PCMM against plaintext weights).
+
+    A rectangular ``(rows, cols)`` weight matrix is zero-padded into the
+    slot grid and applied as one BSGS :class:`LinearTransform`, exposed
+    as ``transform`` once bound; the output lands in slots ``[0, rows)``.
+    """
 
     def __init__(self, weights):
         self.weights = np.asarray(weights, dtype=np.float64)
-        self._product = None
+        if self.weights.ndim != 2:
+            raise ValueError("weights must be 2-D")
+        self.transform = None
 
     def bind(self, context):
-        self._product = PlainMatrixProduct(context, self.weights)
+        n = context.params.slot_count
+        rows, cols = self.weights.shape
+        if rows > n or cols > n:
+            raise ValueError(
+                f"weights {self.weights.shape} exceed the {n}-slot grid"
+            )
+        padded = np.zeros((n, n))
+        padded[:rows, :cols] = self.weights
+        self.transform = LinearTransform(context, padded)
 
     def required_rotation_steps(self):
-        return self._product.required_rotation_steps()
+        return self.transform.required_rotation_steps()
 
     def levels(self):
         return 1
 
     def apply(self, ct, evaluator, keys):
-        return self._product.apply(ct, evaluator, keys.galois_keys)
+        return evaluator.rescale(
+            self.transform.apply(ct, evaluator, keys.galois_keys))
 
     def reference(self, x):
         rows, cols = self.weights.shape
@@ -144,7 +162,12 @@ class EncryptedNetwork:
         return sum(layer.levels() for layer in self.layers)
 
     def create_keys(self, keygen):
-        """Generate exactly the key material this network needs."""
+        """Generate exactly the key material this network needs.
+
+        The relin key first, then Galois keys by ascending rotation
+        step: ``keygen`` draws its randomness in that order, so the key
+        bytes (and the live worker's pinned reply) depend on it.
+        """
         if self._context is None:
             raise RuntimeError("bind() the network before creating keys")
         steps = set()

@@ -3,7 +3,8 @@
 Runs five small layers — a dense 3x3 ConvBN, a BSGS FC matvec, a
 nonlinear polynomial activation, the CoeffToSlot bootstrap stage, and
 a transformer attention block (score transform → softmax surrogate →
-value mix) — **functionally** through :mod:`repro.ckks` with an active
+value mix, run as the :class:`~repro.ckks.EncryptedNetwork` the live
+server serves) — **functionally** through :mod:`repro.ckks` with an active
 :func:`~repro.ir.collect_ops` collector, builds the **modeled** op trace
 for the same layer from its parameters alone
 (:mod:`repro.ir.check` builders, the scheduler's op arithmetic), and
@@ -182,40 +183,39 @@ def _validate_bootstrap_stage(tiny, rng):
 
 def _validate_attention_block(tiny, rng):
     from repro.ckks import (
-        LinearTransform,
-        evaluate_polynomial,
+        ActivationLayer,
+        DenseLayer,
+        EncryptedNetwork,
         toy_parameters,
     )
 
     poly_degree = 64 if tiny else 128
     params = toy_parameters(poly_degree=poly_degree, num_scale_moduli=10)
     context, keygen, encryptor, _, evaluator = _fixture(params)
-    relin = keygen.create_relin_key()
     n = params.slot_count
     # One attention block in miniature: a dense score transform
     # (Q x K^T), a degree-7 softmax surrogate, then the value mix
     # (scores x V) — the LT -> polyeval -> LT chain the transformer
-    # lowering charges per attention block.
-    scores = LinearTransform(context, rng.normal(size=(n, n)) / n)
-    values = LinearTransform(context, rng.normal(size=(n, n)) / n)
+    # lowering charges per attention block, built as the network class
+    # the live server's workers run.
+    scores = DenseLayer(rng.normal(size=(n, n)) / n)
+    values = DenseLayer(rng.normal(size=(n, n)) / n)
     softmax = rng.normal(size=8) * 0.1
-    galois = keygen.create_galois_keys(
-        [context.galois_element_for_step(s)
-         for s in sorted(set(scores.required_rotation_steps())
-                         | set(values.required_rotation_steps()))]
-    )
+    network = EncryptedNetwork(
+        [scores, ActivationLayer(coefficients=softmax), values]
+    ).bind(context)
+    keys = network.create_keys(keygen)
     ct = encryptor.encrypt_values(rng.normal(size=n) * 0.1)
     with collect_ops() as executed:
-        ct = evaluator.rescale(scores.apply(ct, evaluator, galois))
-        ct = evaluate_polynomial(ct, softmax, evaluator, relin)
-        evaluator.rescale(values.apply(ct, evaluator, galois))
-    modeled = (
-        modeled_bsgs_trace(scores.diagonal_indices, scores.baby_steps,
-                           n, rescale=True)
-        + modeled_polyeval_trace(softmax)
-        + modeled_bsgs_trace(values.diagonal_indices, values.baby_steps,
-                             n, rescale=True)
-    )
+        network.apply(ct, evaluator, keys)
+
+    def dense_trace(layer):
+        lt = layer.transform
+        return modeled_bsgs_trace(lt.diagonal_indices, lt.baby_steps, n,
+                                  rescale=True)
+
+    modeled = (dense_trace(scores) + modeled_polyeval_trace(softmax)
+               + dense_trace(values))
     return compare_traces("attention_block", executed, modeled)
 
 

@@ -169,7 +169,7 @@ def plan_capacity(ref, shapes=None, max_replicas=8, jobs=1, cache=None,
 
     shape_rows = []
     for shape in shapes:
-        _, spec = resolve_fleet_cluster(shape)
+        spec = resolve_fleet_cluster(shape)
         memo = {}
         evaluations = []
 

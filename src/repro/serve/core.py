@@ -211,7 +211,7 @@ class EngineCore:
 
     def _add_cluster(self, entry, active_from, elastic):
         """Append one cluster replica (static at init, or scaled up)."""
-        _, spec = resolve_fleet_cluster(entry)
+        spec = resolve_fleet_cluster(entry)
         replica = self._replica_counts.get(entry, 0)
         self._replica_counts[entry] = replica + 1
         cluster = ClusterState(

@@ -94,7 +94,7 @@ def prepare_profiles(scenario, fleet_names=None, jobs=1, cache=None,
             # Elastic replicas need service profiles too.
             entries.append(scenario.autoscale.cluster)
         for entry in entries:
-            _, spec = resolve_fleet_cluster(entry)
+            spec = resolve_fleet_cluster(entry)
             for model, params_name in batch_keys:
                 profile_key = (model, params_name, entry)
                 if profile_key in seen:

@@ -28,8 +28,9 @@ warming the same scenario compile each plan exactly once between them.
 **Functional compute.** The toy CKKS parameter set stands in for the
 paper-scale one (the full parameters exist for cost modeling, not for
 executing on a host CPU): each worker context holds its own keys and a
-two-layer dense/poly-activation network, so inference requests really
-are answered under encryption end to end.
+dense → polynomial activation → dense
+:class:`~repro.ckks.EncryptedNetwork`, so inference requests really are
+answered under encryption end to end.
 """
 
 from __future__ import annotations
@@ -82,12 +83,14 @@ class _WorkerContext:
         import numpy as np
 
         from repro.ckks import (
+            ActivationLayer,
             CkksContext,
             Decryptor,
+            DenseLayer,
+            EncryptedNetwork,
             Encryptor,
             Evaluator,
             KeyGenerator,
-            LinearTransform,
             toy_parameters,
         )
 
@@ -102,30 +105,17 @@ class _WorkerContext:
                                     seed=1)
         self._decryptor = Decryptor(ctx, keygen.secret_key)
         self._evaluator = Evaluator(ctx)
-        self._relin = keygen.create_relin_key()
         # Model weights are derived from the fixed seed, so every
         # worker (and every server process) serves the same model.
         rng = np.random.default_rng(seed)
         n = self.slots
-        self._w1 = 0.3 * rng.normal(size=(n, n))
-        self._w2 = 0.3 * rng.normal(size=(n, n))
-        self._layer1 = LinearTransform(ctx, self._w1)
-        self._layer2 = LinearTransform(ctx, self._w2)
-        steps = sorted(set(self._layer1.required_rotation_steps())
-                       | set(self._layer2.required_rotation_steps()))
-        self._galois = keygen.create_galois_keys(
-            [ctx.galois_element_for_step(s) for s in steps])
-
-    def _evaluate(self, ct):
-        """Dense → activation → dense on one ciphertext."""
-        from repro.ckks import evaluate_polynomial
-
-        ct = self._evaluator.rescale(
-            self._layer1.apply(ct, self._evaluator, self._galois))
-        ct = evaluate_polynomial(ct, list(_ACTIVATION), self._evaluator,
-                                 self._relin)
-        return self._evaluator.rescale(
-            self._layer2.apply(ct, self._evaluator, self._galois))
+        self._network = EncryptedNetwork([
+            DenseLayer(0.3 * rng.normal(size=(n, n))),
+            ActivationLayer(coefficients=_ACTIVATION),
+            DenseLayer(0.3 * rng.normal(size=(n, n))),
+        ]).bind(ctx)
+        # Drawn after the public key: the reply's bytes depend on it.
+        self._keys = self._network.create_keys(keygen)
 
     def prime(self):
         """Fill the evaluation-form key and diagonal caches.
@@ -138,7 +128,9 @@ class _WorkerContext:
 
         encryptor = Encryptor(self._encryptor.context,
                               self._encryptor.public_key, seed=0)
-        self._evaluate(encryptor.encrypt_values(self._np.zeros(self.slots)))
+        self._network.apply(
+            encryptor.encrypt_values(self._np.zeros(self.slots)),
+            self._evaluator, self._keys)
 
     def infer(self, values):
         """Encrypt → dense → activation → dense → decrypt one vector."""
@@ -146,11 +138,10 @@ class _WorkerContext:
         x = np.zeros(self.slots)
         data = np.asarray(values, dtype=float)
         x[: data.size] = data
-        ct = self._evaluate(self._encryptor.encrypt_values(x))
+        ct = self._network.apply(self._encryptor.encrypt_values(x),
+                                 self._evaluator, self._keys)
         got = self._decryptor.decrypt_values(ct).real
-        h = self._w1 @ x
-        h = 0.5 * h + 0.25 * h ** 2
-        want = self._w2 @ h
+        want = self._network.reference(x)
         return {
             "outputs": [round(float(v), 6) for v in got[:8]],
             "plaintext_reference": [round(float(v), 6)
@@ -362,7 +353,7 @@ class LiveDriver:
             self._streams.pop(request.session, None)
 
     def submit_generate(self, tenant_name, values):
-        """Admit one live LLM session; returns ``(outcome, stream)``.
+        """Admit one live LLM session.
 
         Returns ``(outcome, request, stream)``; ``request`` and
         ``stream`` are None unless admitted.

@@ -116,7 +116,7 @@ def params_preset(name):
 
 
 def resolve_fleet_cluster(name):
-    """A fleet entry → ``(registry_name_or_None, ClusterSpec)``.
+    """A fleet entry → its :class:`~repro.hw.ClusterSpec`.
 
     Registry names (``Hydra-M``, ``FAB-L``, ...) resolve through
     :func:`repro.core.cluster_named`; ``hydra-SxC`` shorthand builds an
@@ -126,10 +126,10 @@ def resolve_fleet_cluster(name):
     match = _SHORTHAND.match(name)
     if match:
         servers, cards = int(match.group(1)), int(match.group(2))
-        return None, hydra_cluster(servers, cards)
+        return hydra_cluster(servers, cards)
     from repro.core.system import cluster_named
 
-    return name, cluster_named(name)
+    return cluster_named(name)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,9 @@
-"""Functional tests for PCMM/CCMM building blocks."""
+"""Functional tests for the CCMM building blocks."""
 
 import numpy as np
 import pytest
 
 from repro.ckks.matmul import (
-    PlainMatrixProduct,
     ciphertext_dot,
     ciphertext_matrix_vector,
     required_rotation_steps_for_sum,
@@ -61,28 +60,6 @@ class TestCiphertextDot:
         )
         got = deep_fhe.decrypt(out).real
         assert np.max(np.abs(got - a @ b)) < TOL
-
-
-class TestPlainMatrixProduct:
-    def test_rectangular_pcmm(self, deep_fhe, rng):
-        n = deep_fhe.params.slot_count
-        rows, cols = 8, n
-        m = 0.2 * rng.normal(size=(rows, cols))
-        pcmm = PlainMatrixProduct(deep_fhe.context, m)
-        gk = _keys_for(deep_fhe, pcmm.required_rotation_steps())
-        x = rng.normal(scale=0.4, size=cols)
-        out = pcmm.apply(deep_fhe.encrypt(x), deep_fhe.evaluator, gk)
-        got = deep_fhe.decrypt(out).real[:rows]
-        assert np.max(np.abs(got - m @ x)) < TOL
-
-    def test_oversized_matrix_rejected(self, deep_fhe):
-        n = deep_fhe.params.slot_count
-        with pytest.raises(ValueError):
-            PlainMatrixProduct(deep_fhe.context, np.zeros((n + 1, 2)))
-
-    def test_non_2d_rejected(self, deep_fhe):
-        with pytest.raises(ValueError):
-            PlainMatrixProduct(deep_fhe.context, np.zeros(4))
 
 
 class TestCiphertextMatrixVector:

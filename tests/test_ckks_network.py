@@ -78,3 +78,27 @@ class TestLayerReferences:
         layer = DenseLayer(np.eye(2, 4))
         out = layer.reference(np.array([1.0, 2.0, 3.0, 4.0]))
         assert np.allclose(out, [1.0, 2.0])
+
+
+class TestDenseLayer:
+    """PCMM: a rectangular plaintext matrix padded into the slot grid."""
+
+    def test_rectangular_pcmm(self, deep_fhe, rng):
+        n = deep_fhe.params.slot_count
+        rows, cols = 8, n
+        m = 0.2 * rng.normal(size=(rows, cols))
+        net = EncryptedNetwork([DenseLayer(m)]).bind(deep_fhe.context)
+        keys = net.create_keys(deep_fhe.keygen)
+        x = rng.normal(scale=0.4, size=cols)
+        out = net.apply(deep_fhe.encrypt(x), deep_fhe.evaluator, keys)
+        got = deep_fhe.decrypt(out).real[:rows]
+        assert np.max(np.abs(got - m @ x)) < 5e-2
+
+    def test_oversized_matrix_rejected(self, deep_fhe):
+        n = deep_fhe.params.slot_count
+        with pytest.raises(ValueError, match="slot grid"):
+            DenseLayer(np.zeros((n + 1, 2))).bind(deep_fhe.context)
+
+    def test_non_2d_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            DenseLayer(np.zeros(4))

@@ -91,8 +91,3 @@ class TestGaloisElements:
         n = ctx.params.slot_count
         assert (ctx.galois_element_for_step(-1)
                 == ctx.galois_element_for_step(n - 1))
-
-    def test_rotation_steps_dedup(self, toy_fhe):
-        ctx = toy_fhe.context
-        elements = ctx.rotation_steps_for_elements([1, 1, 0, 2])
-        assert len(elements) == 2

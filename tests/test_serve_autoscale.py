@@ -271,7 +271,7 @@ class TestEngineIntegration:
 
 class TestElasticLifecycle:
     def _cluster(self, **kw):
-        _, spec = resolve_fleet_cluster("Hydra-S")
+        spec = resolve_fleet_cluster("Hydra-S")
         kw.setdefault("index", 0)
         kw.setdefault("name", "Hydra-S")
         kw.setdefault("replica", 0)
@@ -306,7 +306,7 @@ class TestSloRouting:
         plans = []
         for i, (name, completion) in enumerate(
                 [("Hydra-L", 5.0), ("Hydra-M", 12.0)]):
-            _, spec = resolve_fleet_cluster(name)
+            spec = resolve_fleet_cluster(name)
             cluster = ClusterState(index=i, name=name, replica=0,
                                    spec=spec, mode="pipelined")
             schedule = BatchSchedule(

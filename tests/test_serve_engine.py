@@ -143,7 +143,7 @@ class TestEngine:
 
 class TestClusterState:
     def _state(self, mode):
-        _, spec = resolve_fleet_cluster("Hydra-S")
+        spec = resolve_fleet_cluster("Hydra-S")
         return ClusterState(index=0, name="Hydra-S", replica=0, spec=spec,
                             mode=mode)
 

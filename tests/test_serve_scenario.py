@@ -82,12 +82,8 @@ class TestScenario:
         assert scenario.override() == scenario
 
     def test_fleet_entry_registry_and_shorthand(self):
-        registry_name, spec = resolve_fleet_cluster("Hydra-M")
-        assert registry_name == "Hydra-M"
-        assert spec.total_cards == 8
-        registry_name, spec = resolve_fleet_cluster("hydra-2x4")
-        assert registry_name is None
-        assert spec.total_cards == 8
+        assert resolve_fleet_cluster("Hydra-M").total_cards == 8
+        assert resolve_fleet_cluster("hydra-2x4").total_cards == 8
         with pytest.raises(KeyError):
             resolve_fleet_cluster("NoSuch-X")
 
