@@ -9,10 +9,13 @@ ring buffer of the last ``capacity`` structured events — sized in
 given scenario + seed the retained window is byte-identical across
 processes, worker counts, and reruns.
 
-Events are plain dicts carrying a monotonically increasing ``seq``, the
-simulated time, a ``kind`` tag, and arbitrary JSON-safe fields;
-:meth:`FlightRecorder.to_jsonl` renders them as canonical (sorted-key)
-JSON lines for the ``events.jsonl`` telemetry artifact.
+Events read back as plain dicts carrying a monotonically increasing
+``seq``, the simulated time, a ``kind`` tag, and arbitrary JSON-safe
+fields; :meth:`FlightRecorder.to_jsonl` renders them as canonical
+(sorted-key) JSON lines for the ``events.jsonl`` telemetry artifact.
+The ring itself holds ``(seq, time, kind, fields)`` tuples — recording
+sits on the serving engine's per-event path, and only the retained
+window is ever read — so the dicts are built on read.
 
 ``trigger()`` marks a condition worth dumping for (the serving engine
 calls it on the first SLO violation); the recorder remembers the first
@@ -33,14 +36,15 @@ DEFAULT_CAPACITY = 512
 class FlightRecorder:
     """Fixed-capacity ring buffer of structured, ordered events."""
 
-    __slots__ = ("capacity", "_ring", "_head", "_seq", "first_trigger")
+    __slots__ = ("capacity", "_ring", "_seq", "first_trigger")
 
     def __init__(self, capacity=DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("FlightRecorder capacity must be >= 1")
         self.capacity = int(capacity)
+        #: ``(seq, time, kind, fields)``; event ``seq`` sits in slot
+        #: ``seq % capacity``
         self._ring = []
-        self._head = 0  # slot the next event overwrites once full
         self._seq = 0
         #: ``(reason, time, seq)`` of the first trigger, or None.
         self.first_trigger = None
@@ -60,26 +64,26 @@ class FlightRecorder:
 
     def record(self, kind, time, **fields):
         """Append one event; evicts the oldest when at capacity."""
-        event = {"seq": self._seq, "time": float(time), "kind": str(kind)}
-        event.update(fields)
-        if len(self._ring) < self.capacity:
-            self._ring.append(event)
+        seq = self._seq
+        if seq < self.capacity:
+            self._ring.append((seq, time, kind, fields))
         else:
-            self._ring[self._head] = event
-            self._head = (self._head + 1) % self.capacity
-        self._seq += 1
-        return event
+            self._ring[seq % self.capacity] = (seq, time, kind, fields)
+        self._seq = seq + 1
 
     def trigger(self, reason, time, **fields):
         """Record a trigger event and remember the first one."""
-        event = self.record("trigger", time, reason=str(reason), **fields)
+        self.record("trigger", time, reason=str(reason), **fields)
         if self.first_trigger is None:
-            self.first_trigger = (str(reason), float(time), event["seq"])
-        return event
+            self.first_trigger = (str(reason), float(time), self._seq - 1)
 
     def events(self):
-        """Retained events in recording (``seq``) order."""
-        return self._ring[self._head:] + self._ring[:self._head]
+        """Retained events in recording (``seq``) order, as dicts."""
+        head = self._seq % self.capacity
+        return [{"seq": seq, "time": float(time), "kind": str(kind),
+                 **fields}
+                for seq, time, kind, fields
+                in self._ring[head:] + self._ring[:head]]
 
     def to_jsonl(self, extra_fields=None):
         """Canonical JSON-lines dump of the retained window.

@@ -16,11 +16,15 @@ Instrumented code records through the module-level *active* registry::
 
     inc("ckks.evaluator.ops", op="cmult")
 
-which is a cheap dictionary update under the registry's lock.  One
-registry may be shared by threads — the live server's CKKS workers and
-its event loop all record into the registry ``/metrics`` reads — so
-every update and snapshot holds that lock; an unlocked
-read-modify-write loses counts under contention.
+which is a dictionary update under the registry's lock.  One registry
+may be shared by threads — the live server's CKKS worker threads record
+into the registry ``/metrics`` reads, and so does its event loop when
+it refuses a request at max inflight — so every update and snapshot
+holds that lock; an unlocked read-modify-write loses counts under
+contention.  The serving engine's per-event counts do not come through
+here: :meth:`repro.serve.EngineCore.counters` renders its ``serve.*``
+counters in a snapshot's ``counters`` layout from the tallies the core
+keeps anyway, and the live server merges them in at scrape time.
 :func:`use_registry` swaps the active registry for a scope (the runtime
 executor does this around every simulated request).
 """

@@ -122,17 +122,17 @@ class StreamingHistogram:
     def _bucket_estimate(self, index):
         return 2.0 * self._gamma ** index / (self._gamma + 1.0)
 
-    def _fold(self, value, count):
+    def _fold(self, value):
         if value < self.min_value:
-            self._zero += count
+            self._zero += 1
         else:
             index = self._index(value)
-            self._buckets[index] = self._buckets.get(index, 0) + count
+            self._buckets[index] = self._buckets.get(index, 0) + 1
 
     def _promote(self):
         """Fold retained exact values into buckets (one-way)."""
         for value in self._values:
-            self._fold(value, 1)
+            self._fold(value)
         self._values = []
 
     @property
@@ -150,24 +150,27 @@ class StreamingHistogram:
         """Resident bucket cells (the memory bound, data-independent)."""
         return len(self._buckets)
 
-    def add(self, value, count=1):
-        """Record ``count`` observations of ``value`` (``value >= 0``)."""
+    def add(self, value):
+        """Record one observation of ``value`` (``value >= 0``)."""
         value = float(value)
         if value < 0:
             raise ValueError(f"StreamingHistogram values must be >= 0, "
                              f"got {value}")
-        if count < 1:
-            return
-        self.count += count
-        self.sum += value * count
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        if self.exact or (self._is_raw and self.count <= self.exact_limit):
-            self._values.extend([value] * count)
+        self.count += 1
+        self.sum += value
+        if self.min is None:
+            self.min = self.max = value
+        else:
+            if value < self.min:
+                self.min = value
+            if value > self.max:
+                self.max = value
+        if self.exact or (self.count <= self.exact_limit and self._is_raw):
+            self._values.append(value)
             return
         if self._values:
             self._promote()
-        self._fold(value, count)
+        self._fold(value)
 
     # ------------------------------------------------------------------
     # Queries
@@ -282,7 +285,7 @@ class StreamingHistogram:
         if self._values:
             self._promote()
         for value in other._values:
-            self._fold(value, 1)
+            self._fold(value)
         self._zero += other._zero
         for index, count in other._buckets.items():
             self._buckets[index] = self._buckets.get(index, 0) + count
@@ -310,13 +313,12 @@ class WindowedCounter:
         self.window_seconds = self.horizon / self.num_windows
         self._counts = [0.0] * self.num_windows
 
-    def _window(self, t):
+    def add(self, t, value=1.0):
         if t < 0:
             raise ValueError(f"negative event time {t}")
-        return min(int(t / self.window_seconds), self.num_windows - 1)
-
-    def add(self, t, value=1.0):
-        self._counts[self._window(t)] += value
+        index = int(t / self.window_seconds)
+        last = self.num_windows - 1
+        self._counts[index if index < last else last] += value
 
     @property
     def total(self):
@@ -358,15 +360,25 @@ class TimeWeightedWindows:
         if end <= start or value == 0.0:
             return
         width = self.window_seconds
-        first = min(int(start / width), self.num_windows - 1)
-        last = min(int(end / width), self.num_windows - 1)
-        for index in range(first, last + 1):
-            lo = max(start, index * width)
-            hi = min(end, (index + 1) * width)
-            if index == self.num_windows - 1:
-                hi = min(end, self.horizon)
+        final = self.num_windows - 1
+        first = int(start / width)
+        last = int(end / width)
+        weighted = self._weighted
+        for index in range(first if first < final else final,
+                           (last if last < final else final) + 1):
+            # Clip the window to [start, end); ``end`` is already
+            # clipped to the horizon, which closes the final window.
+            lo = index * width
+            if lo < start:
+                lo = start
+            if index == final:
+                hi = end
+            else:
+                hi = (index + 1) * width
+                if hi > end:
+                    hi = end
             if hi > lo:
-                self._weighted[index] += value * (hi - lo)
+                weighted[index] += value * (hi - lo)
 
     def weighted(self):
         return list(self._weighted)
@@ -396,16 +408,17 @@ class TimeWeightedValue:
         self._last_value = 0.0
 
     def update(self, t, value):
-        if t < self._last_t:
-            raise ValueError(
-                f"non-monotonic update: {t} < {self._last_t}"
-            )
-        if t > self._last_t and self._last_value:
-            self._weighted_total += self._last_value * (t - self._last_t)
-            self.windows.add_interval(self._last_t, t, self._last_value)
+        last_t = self._last_t
+        if t < last_t:
+            raise ValueError(f"non-monotonic update: {t} < {last_t}")
+        last_value = self._last_value
+        if t > last_t and last_value:
+            self._weighted_total += last_value * (t - last_t)
+            self.windows.add_interval(last_t, t, last_value)
         self._last_t = t
-        self._last_value = float(value)
-        self.max_value = max(self.max_value, self._last_value)
+        value = self._last_value = float(value)
+        if value > self.max_value:
+            self.max_value = value
 
     def finish(self, horizon):
         """Flush the final segment; returns self for chaining."""

@@ -26,6 +26,13 @@ then admit new arrivals, then batch-window flushes, then autoscaler
 evaluations (so a tick observes the queue after same-instant
 admissions).
 
+The core counts each event once, in its own tallies
+(:class:`TenantStats`, the ``ClusterState`` batch and request counts,
+``scale_events``), and records nothing into a metrics registry on the
+per-event path: :meth:`EngineCore.counters` renders the ``serve.*``
+counters from those tallies, for the DES report's ``metrics`` block and
+for the live server's ``/metrics`` at scrape time.
+
 ``time_scale`` scales the simulated-hardware service times a live run
 accounts per batch (a demo knob: compress hours of FHE compute into
 seconds of wall clock).  At the default 1.0 the scaling multiply is
@@ -35,7 +42,6 @@ skipped entirely, so DES report bytes cannot drift.
 from __future__ import annotations
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import inc as _metric_inc
 from repro.obs.streaming import (
     StreamingHistogram,
     StreamingIntervalUnion,
@@ -44,7 +50,7 @@ from repro.obs.streaming import (
     WindowedCounter,
 )
 from repro.serve.autoscale import Autoscaler
-from repro.serve.dispatch import ClusterState, select_cluster
+from repro.serve.dispatch import READY_SLACK, ClusterState, select_cluster
 from repro.serve.queueing import AdmissionQueue, Request, make_policy
 from repro.serve.scenario import params_preset, resolve_fleet_cluster
 
@@ -236,6 +242,47 @@ class EngineCore:
         if self.depth_series is not None:
             self.depth_series.append((now, depth))
 
+    def counters(self):
+        """The ``serve.*`` counters, rendered from the core's tallies.
+
+        Laid out like the ``counters`` of a
+        :class:`~repro.obs.MetricsRegistry` snapshot: sorted names and
+        label keys, int values, and a series only where the count is
+        nonzero.  The DES report's ``metrics`` block and the live
+        server's ``/metrics`` both come from here.
+        """
+        table = {}
+
+        def put(name, key, value):
+            if value:
+                series = table.setdefault(name, {})
+                series[key] = series.get(key, 0) + value
+
+        for tenant, stats in self.stats.items():
+            key = f"tenant={tenant}"
+            for name, value in (
+                    ("arrivals", stats.arrivals),
+                    ("rejected", stats.rejected),
+                    ("rejected_warming", stats.rejected_warming),
+                    ("completed", stats.latency.count),
+                    ("deadline_miss", stats.deadline_misses),
+                    ("tokens", stats.tokens),
+                    ("decode_steps", stats.decode_steps),
+                    ("kv_recharges", stats.recharges),
+                    ("sessions_completed", stats.sessions_completed),
+                    ("sessions_aborted", stats.sessions_aborted),
+                    ("kv_migrations", stats.kv_migrations)):
+                put(f"serve.{name}", key, value)
+        for cluster in self.clusters:
+            key = f"cluster={cluster.label}"
+            put("serve.batches", key, cluster.batches)
+            put("serve.batched_requests", key, cluster.requests)
+        for event in self.scale_events:
+            put(f"serve.scale_{event['action']}", "",
+                len(event["clusters"]))
+        return {name: dict(sorted(series.items()))
+                for name, series in sorted(table.items())}
+
     # -- request construction -------------------------------------------
 
     def make_request(self, tenant, arrival):
@@ -291,16 +338,12 @@ class EngineCore:
         stats = self.stats[request.tenant]
         stats.arrivals += 1
         stats.arrivals_w.add(now)
-        _metric_inc("serve.arrivals", tenant=request.tenant)
         if not self.queue.offer(request):
             warming = self._rejected_while_warming(now)
             stats.rejected += 1
             stats.rejections_w.add(now)
-            _metric_inc("serve.rejected", tenant=request.tenant)
             if warming:
                 stats.rejected_warming += 1
-                _metric_inc("serve.rejected_warming",
-                            tenant=request.tenant)
                 self.recorder.record("reject", now, tenant=request.tenant,
                                      request=request.id,
                                      reason="warming")
@@ -328,7 +371,6 @@ class EngineCore:
         if not self.queue.offer(request):
             self._sessions.pop(request.session, None)
             stats.sessions_aborted += 1
-            _metric_inc("serve.sessions_aborted", tenant=request.tenant)
             self.recorder.record("session_abort", now,
                                  tenant=request.tenant,
                                  session=request.session,
@@ -359,8 +401,7 @@ class EngineCore:
                       for c in self.clusters)
         if not warming:
             return False
-        return not any(c.available(now) and c.has_free_slot
-                       for c in self.clusters)
+        return not self._free_clusters(now)
 
     def handle_flush(self, now, _batch_key):
         self.try_dispatch(now)
@@ -387,13 +428,11 @@ class EngineCore:
         stats.latency.add(latency)
         stats.completions_w.add(now)
         stats.latency_sum_w.add(now, latency)
-        _metric_inc("serve.completed", tenant=request.tenant)
         missed = (request.deadline is not None
                   and now > request.deadline)
         if missed:
             stats.deadline_misses += 1
             stats.misses_w.add(now)
-            _metric_inc("serve.deadline_miss", tenant=request.tenant)
             self._check_slo_burn(now, request, stats)
         if self.autoscaler is not None:
             self.autoscaler.observe_completion(request.tenant,
@@ -409,7 +448,6 @@ class EngineCore:
             # ciphertexts to the cluster that computed them.
             stats.ttft.add(now - request.arrival)
             stats.tokens += 1
-            _metric_inc("serve.tokens", tenant=request.tenant)
             done = request.tokens_total <= 1
             if self.token_sink is not None:
                 self.token_sink(now, request, done=done)
@@ -439,11 +477,8 @@ class EngineCore:
         stats.inter_token.add(inter_token)
         stats.tokens += 1
         stats.decode_steps += 1
-        _metric_inc("serve.tokens", tenant=request.tenant)
-        _metric_inc("serve.decode_steps", tenant=request.tenant)
         if request.recharge:
             stats.recharges += 1
-            _metric_inc("serve.kv_recharges", tenant=request.tenant)
         done = request.token_index >= request.tokens_total
         if self.token_sink is not None:
             self.token_sink(now, request, done=done)
@@ -460,7 +495,6 @@ class EngineCore:
         request."""
         stats = self.stats[request.tenant]
         stats.sessions_completed += 1
-        _metric_inc("serve.sessions_completed", tenant=request.tenant)
         self.recorder.record("session_end", now, tenant=request.tenant,
                              session=request.session,
                              tokens=request.tokens_total)
@@ -527,7 +561,6 @@ class EngineCore:
         self.autoscaler.note_scaled(now)
         self.peak_replicas = max(self.peak_replicas,
                                  len(self._active_elastic()))
-        _metric_inc("serve.scale_up", count)
         self.recorder.trigger("scale_up", now, policy=config.policy,
                               signal=signal, clusters=labels,
                               ready_at=ready_at)
@@ -553,7 +586,6 @@ class EngineCore:
         if not labels:
             return
         self.autoscaler.note_scaled(now)
-        _metric_inc("serve.scale_down", len(labels))
         self.recorder.trigger("scale_down", now, policy=config.policy,
                               signal=signal, clusters=labels)
         self.scale_events.append({
@@ -594,12 +626,22 @@ class EngineCore:
             return True
         return key[2] in free_idx
 
+    def _free_clusters(self, now):
+        """Active replicas with a free batch slot at ``now``.
+
+        ``ClusterState.available`` is inlined: this scan runs on every
+        event and mostly finds no free cluster.
+        """
+        ready_by = now + READY_SLACK
+        return [c for c in self.clusters
+                if c.inflight < c.inflight_limit
+                and c.retired_at is None and c.active_from <= ready_by]
+
     def try_dispatch(self, now):
         batch_cfg = self.scenario.batch
         routing = self.scenario.routing
         while True:
-            free = [c for c in self.clusters
-                    if c.available(now) and c.has_free_slot]
+            free = self._free_clusters(now)
             if not free:
                 return
             dispatchable = None
@@ -688,9 +730,6 @@ class EngineCore:
                                               t_c, t_out)
                 self._migrate_sessions(now, batch, cluster)
             cluster.commit_batch(schedule, len(batch))
-            _metric_inc("serve.batches", cluster=cluster.label)
-            _metric_inc("serve.batched_requests", len(batch),
-                        cluster=cluster.label)
             batch_id = f"batch-{self._batch_ids:05d}"
             self._batch_ids += 1
             stats = self.cluster_stats[cluster.index]
@@ -728,7 +767,6 @@ class EngineCore:
             if session is not None:
                 session["kv_cluster"] = cluster.index
             self.stats[request.tenant].kv_migrations += 1
-            _metric_inc("serve.kv_migrations", tenant=request.tenant)
         self.recorder.record(
             "kv_migrate", now, cluster=cluster.label,
             sessions=[r.session for r in batch])

@@ -177,6 +177,10 @@ class BatchSchedule:
         return self.egress_end
 
 
+#: A replica whose warm-up ends within this of ``now`` is active.
+READY_SLACK = 1e-12
+
+
 @dataclass
 class ClusterState:
     """Occupancy bookkeeping for one fleet cluster replica."""
@@ -201,8 +205,12 @@ class ClusterState:
     active_from: float = 0.0
     retired_at: float = None
     elastic: bool = False
+    #: batches in flight at once: pipelined clusters stage the next
+    #: batch while one drains
+    inflight_limit: int = field(init=False)
 
     def __post_init__(self):
+        self.inflight_limit = 2 if self.mode == "pipelined" else 1
         # A cold replica's resources free up when its warm-up ends.
         if self.active_from > 0.0:
             self.in_free_at = max(self.in_free_at, self.active_from)
@@ -216,7 +224,8 @@ class ClusterState:
 
     def available(self, now):
         """True when the replica may accept a new batch at ``now``."""
-        return self.retired_at is None and self.active_from <= now + 1e-12
+        return (self.retired_at is None
+                and self.active_from <= now + READY_SLACK)
 
     def retire(self, now):
         self.retired_at = float(now)
@@ -240,15 +249,6 @@ class ClusterState:
         """Cards integrated over the replica's active span."""
         span = self.active_until(horizon) - self.active_from
         return self.spec.total_cards * max(0.0, span)
-
-    @property
-    def inflight_limit(self):
-        """Pipelined clusters stage the next batch while one drains."""
-        return 2 if self.mode == "pipelined" else 1
-
-    @property
-    def has_free_slot(self):
-        return self.inflight < self.inflight_limit
 
     def plan_batch(self, now, t_in, t_compute, t_out):
         """Phase times a batch dispatched at ``now`` would get (pure)."""

@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 
 from repro.obs.flight import FlightRecorder
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import inc as _metric_inc
 from repro.serve.arrivals import iter_arrivals
 from repro.serve.core import P_ARRIVAL, EngineCore
 from repro.serve.report import build_fleet_report, build_report
@@ -173,13 +173,21 @@ class SimDriver:
     # -- main loop ------------------------------------------------------
 
     def run(self):
-        """Drain the event heap; returns the finished core."""
+        """Drain the event heap; returns the finished core.
+
+        Records ``serve.engine.events`` (heap pops) into the active
+        registry once per run.
+        """
         self.seed_arrivals()
         self.core.schedule_autoscaler()
-        while self.heap:
-            time, _priority, _seq, handler, payload = heapq.heappop(
-                self.heap)
+        heap = self.heap
+        heappop = heapq.heappop
+        events = 0
+        while heap:
+            time, _priority, _seq, handler, payload = heappop(heap)
+            events += 1
             handler(time, payload)
+        _metric_inc("serve.engine.events", events)
         if self.core.queue.pending:  # pragma: no cover - termination guard
             raise RuntimeError(
                 f"serving simulation ended with "
@@ -193,16 +201,14 @@ def simulate_fleet(scenario, fleet_name, profiles, exact=False,
                    recorder=None):
     """Simulate one fleet; returns its deterministic report fragment.
 
-    Runs under a fresh :class:`~repro.obs.MetricsRegistry` so the
-    report's metric totals reflect exactly this fleet's activity.
-    Pass a :class:`~repro.obs.FlightRecorder` to retain the event ring
-    after the run (``run_scenario`` does, for ``--telemetry-out``).
+    The report's ``metrics`` block is :meth:`EngineCore.counters`, so
+    its totals reflect exactly this fleet's activity.  Pass a
+    :class:`~repro.obs.FlightRecorder` to retain the event ring after
+    the run (``run_scenario`` does, for ``--telemetry-out``).
     """
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        core = SimDriver(scenario, fleet_name, profiles,
-                         exact=exact, recorder=recorder).run()
-    return build_fleet_report(core, registry.snapshot())
+    core = SimDriver(scenario, fleet_name, profiles,
+                     exact=exact, recorder=recorder).run()
+    return build_fleet_report(core)
 
 
 def run_scenario(ref, seed=None, duration=None, dispatch=None, policy=None,

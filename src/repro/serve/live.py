@@ -45,6 +45,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.obs.metrics import (
     MetricsRegistry,
     inc as _metric_inc,
+    merge_snapshots,
     set_registry,
 )
 from repro.obs.prom import registry_to_prom
@@ -554,7 +555,12 @@ class LiveServer:
         }
 
     def _metrics(self):
-        snapshot = self.registry.snapshot()
+        # The serve.* counters are the core's own tallies, read here on
+        # the event loop: the only thread that changes the core.
+        snapshot = merge_snapshots([
+            self.registry.snapshot(),
+            {"counters": self.driver.core.counters()},
+        ])
         writer = registry_to_prom(snapshot)
         writer.gauge("repro_serve_live_inflight", self.driver.inflight,
                      help_text="Admitted requests awaiting completion")

@@ -131,8 +131,12 @@ def _tenant_slo(tenant, stats):
     }
 
 
-def build_fleet_report(engine, metrics_snapshot):
-    """Assemble one fleet's report fragment from a finished engine."""
+def build_fleet_report(engine):
+    """Assemble one fleet's report fragment from a finished engine.
+
+    The fragment's ``metrics`` block is the engine's
+    :meth:`~repro.serve.EngineCore.counters`.
+    """
     scenario = engine.scenario
     horizon = max(scenario.duration_seconds, engine.last_completion)
 
@@ -256,7 +260,7 @@ def build_fleet_report(engine, metrics_snapshot):
             "elastic": elastic_card_seconds,
         },
         "autoscale": autoscale,
-        "metrics": metrics_snapshot.get("counters", {}),
+        "metrics": engine.counters(),
         "flight_recorder": {
             "capacity": recorder.capacity,
             "recorded": recorder.total_recorded,

@@ -147,47 +147,64 @@ class FabHostFabric:
                   + self._lan_rx):
             r.free_at = 0.0
 
-    @staticmethod
-    def _host(card_index):
-        return card_index // 2
-
-    def _paired(self, src, dst):
-        return self._host(src) == self._host(dst)
-
-    def _via_hosts(self, src, dst, size, when):
-        _, tx_end = self._lan_tx[self._host(src)].occupy(size, when)
-        # Cut-through into the receiver NIC where possible.
-        rx = self._lan_rx[self._host(dst)]
-        _, rx_end = rx.occupy(size, tx_end - size / rx.bandwidth)
-        _, down_end = self._pcie[dst].occupy(
-            size, max(tx_end, rx_end) + self._host_latency
-        )
-        return down_end
+    def _via_hosts(self, src, dsts, size, when):
+        """Store-and-forward from the source host to each receiver in
+        turn: its LAN TX port → the receiver host's LAN RX port → PCIe
+        down, each hop one occupation."""
+        tx = self._lan_tx[src // 2]
+        tx_cost = tx.latency + size / tx.bandwidth
+        host_latency = self._host_latency
+        lan_rx = self._lan_rx
+        pcie = self._pcie
+        deliveries = {}
+        for dst in dsts:
+            # _Resource.occupy and max() inlined: this loop runs once
+            # per receiver of every broadcast.
+            free_at = tx.free_at
+            tx_end = (free_at if free_at > when else when) + tx_cost
+            tx.free_at = tx_end
+            # Cut-through into the receiver NIC where possible.
+            rx = lan_rx[dst // 2]
+            wire = size / rx.bandwidth
+            earliest = tx_end - wire
+            free_at = rx.free_at
+            rx_end = ((free_at if free_at > earliest else earliest)
+                      + (rx.latency + wire))
+            rx.free_at = rx_end
+            down = pcie[dst]
+            earliest = (rx_end if rx_end > tx_end else tx_end) + host_latency
+            free_at = down.free_at
+            down_end = ((free_at if free_at > earliest else earliest)
+                        + (down.latency + size / down.bandwidth))
+            down.free_at = down_end
+            deliveries[dst] = down_end
+        return deliveries
 
     def unicast(self, src, dst, size, start):
-        if self._paired(src, dst):
-            _, end = self._pair_link[self._host(src)].occupy(size, start)
+        host = src // 2
+        if dst // 2 == host:
+            _, end = self._pair_link[host].occupy(size, start)
             return end, {dst: end}
         # FPGA -> host over src PCIe (sender releases after this hop).
         _, up_end = self._pcie[src].occupy(size, start)
-        down_end = self._via_hosts(src, dst, size,
-                                   up_end + self._host_latency)
-        return up_end, {dst: down_end}
+        return up_end, self._via_hosts(src, (dst,), size,
+                                       up_end + self._host_latency)
 
     def broadcast(self, src, dsts, size, start):
         """No hardware broadcast: the source host replicates per receiver."""
         _, up_end = self._pcie[src].occupy(size, start)
-        deliveries = {}
+        host = src // 2
+        remote = []
         pair_peer = None
         for dst in dsts:
-            if self._paired(src, dst):
+            if dst // 2 == host:
                 pair_peer = dst
-                continue
-            deliveries[dst] = self._via_hosts(
-                src, dst, size, up_end + self._host_latency
-            )
+            else:
+                remote.append(dst)
+        deliveries = self._via_hosts(src, remote, size,
+                                     up_end + self._host_latency)
         if pair_peer is not None:
-            _, end = self._pair_link[self._host(src)].occupy(size, start)
+            _, end = self._pair_link[host].occupy(size, start)
             deliveries[pair_peer] = end
             up_end = max(up_end, end)
         return up_end, deliveries

@@ -57,6 +57,38 @@ class TestFlightRecorder:
         with pytest.raises(ValueError, match="capacity"):
             FlightRecorder(capacity=0)
 
+    def test_wrapped_ring_with_triggers_reads_back_exactly(self):
+        rec = FlightRecorder(capacity=3)
+        rec.record("admit", 1, tenant="a", request=0)
+        rec.record("admit", 2.0, tenant="b", request=1)
+        rec.trigger("scale_up", 2.5, clusters=["Hydra-M#1"], ready_at=4)
+        rec.record("dispatch", 3, batch="batch-00000",
+                   cluster="Hydra-M#0")
+        rec.trigger("slo_budget_exceeded", 4, tenant="a", misses=2)
+        events = rec.events()
+        assert events == [
+            {"seq": 2, "time": 2.5, "kind": "trigger",
+             "reason": "scale_up", "clusters": ["Hydra-M#1"],
+             "ready_at": 4},
+            {"seq": 3, "time": 3.0, "kind": "dispatch",
+             "batch": "batch-00000", "cluster": "Hydra-M#0"},
+            {"seq": 4, "time": 4.0, "kind": "trigger",
+             "reason": "slo_budget_exceeded", "tenant": "a", "misses": 2},
+        ]
+        assert [list(e)[:3] for e in events] == [["seq", "time",
+                                                  "kind"]] * 3
+        assert all(type(e["time"]) is float for e in events)
+        assert rec.first_trigger == ("scale_up", 2.5, 2)
+        assert (len(rec), rec.total_recorded, rec.dropped) == (3, 5, 2)
+        assert rec.to_jsonl(extra_fields={"fleet": "f"}) == (
+            '{"clusters": ["Hydra-M#1"], "fleet": "f", "kind": "trigger", '
+            '"ready_at": 4, "reason": "scale_up", "seq": 2, "time": 2.5}\n'
+            '{"batch": "batch-00000", "cluster": "Hydra-M#0", '
+            '"fleet": "f", "kind": "dispatch", "seq": 3, "time": 3.0}\n'
+            '{"fleet": "f", "kind": "trigger", "misses": 2, '
+            '"reason": "slo_budget_exceeded", "seq": 4, "tenant": "a", '
+            '"time": 4.0}\n')
+
 
 class TestPromWriter:
     def test_counter_and_gauge_families(self):

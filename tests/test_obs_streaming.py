@@ -282,3 +282,107 @@ class TestStreamingIntervalUnion:
         union.add(2.0, 6.0, now=1.0)
         union.add(10.0, 11.0, now=2.0)
         assert union.length == pytest.approx(7.0)
+
+
+# The aggregators' earlier add bodies, kept as references: the rewritten
+# bodies (conditional expressions for the min/max builtins, fewer method
+# calls) must leave bit-identical state.
+
+def _reference_hist_add(hist, value):
+    value = float(value)
+    hist.count += 1
+    hist.sum += value * 1
+    hist.min = value if hist.min is None else min(hist.min, value)
+    hist.max = value if hist.max is None else max(hist.max, value)
+    if hist.exact or (hist._is_raw and hist.count <= hist.exact_limit):
+        hist._values.extend([value])
+        return
+    if hist._values:
+        hist._promote()
+    if value < hist.min_value:
+        hist._zero += 1
+    else:
+        index = math.ceil(math.log(value) / hist._log_gamma)
+        hist._buckets[index] = hist._buckets.get(index, 0) + 1
+
+
+def _reference_counter_add(counter, t, value=1.0):
+    index = min(int(t / counter.window_seconds), counter.num_windows - 1)
+    counter._counts[index] += value
+
+
+def _reference_add_interval(windows, start, end, value=1.0):
+    start = max(0.0, float(start))
+    end = min(float(end), windows.horizon)
+    if end <= start or value == 0.0:
+        return
+    width = windows.window_seconds
+    first = min(int(start / width), windows.num_windows - 1)
+    last = min(int(end / width), windows.num_windows - 1)
+    for index in range(first, last + 1):
+        lo = max(start, index * width)
+        hi = min(end, (index + 1) * width)
+        if index == windows.num_windows - 1:
+            hi = min(end, windows.horizon)
+        if hi > lo:
+            windows._weighted[index] += value * (hi - lo)
+
+
+class TestAddsMatchTheReferenceBodies:
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("bucketed", [False, True])
+    def test_histogram_single_adds(self, exact, bucketed):
+        rng = random.Random(5)
+        snap = StreamingHistogram(exact=exact, exact_limit=64).snapshot()
+        if bucketed:
+            # Folded into buckets below the exact limit, as after merging
+            # a promoted sketch: later adds must keep folding.
+            small = StreamingHistogram(exact_limit=2)
+            for value in (0.5, 2.0, 8.0):
+                small.add(value)
+            snap = dict(small.snapshot(), exact=exact, exact_limit=64)
+        fast = StreamingHistogram.from_snapshot(snap)
+        ref = StreamingHistogram.from_snapshot(snap)
+        for _ in range(500):
+            value = rng.choice([0.0, 1e-12, rng.random(),
+                                rng.lognormvariate(0.0, 3.0), 2.5])
+            fast.add(value)
+            _reference_hist_add(ref, value)
+            # Each step, so a promotion one value early or late shows.
+            assert fast.snapshot() == ref.snapshot()
+
+    # 9 * (2.9 / 9) < 2.9: the final window's computed left edge falls
+    # short of the horizon, so an unclamped index past it would count.
+    @pytest.mark.parametrize("horizon", [7.3, 2.9])
+    def test_windowed_counter_adds(self, horizon):
+        rng = random.Random(6)
+        windows = 9
+        fast = WindowedCounter(horizon, windows)
+        ref = WindowedCounter(horizon, windows)
+        width = horizon / windows
+        for _ in range(2000):
+            t = rng.choice([rng.uniform(0.0, 1.2 * horizon),
+                            rng.randrange(windows + 2) * width])
+            value = rng.random()
+            fast.add(t, value)
+            _reference_counter_add(ref, t, value)
+        assert fast.counts() == ref.counts()
+
+    @pytest.mark.parametrize("horizon", [7.3, 2.9])
+    def test_intervals_inside_and_across_windows(self, horizon):
+        rng = random.Random(7)
+        windows = 9
+        fast = TimeWeightedWindows(horizon, windows)
+        ref = TimeWeightedWindows(horizon, windows)
+        width = horizon / windows
+        for _ in range(2000):
+            edges = [rng.uniform(-0.5, 1.2 * horizon),
+                     rng.randrange(-1, windows + 2) * width]
+            start = rng.choice(edges)
+            end = start + rng.choice([0.0, rng.uniform(0.0, 0.3 * width),
+                                      rng.uniform(0.0, 3.0 * width),
+                                      width])
+            value = rng.choice([1.0, 0.0, rng.uniform(0.0, 5.0)])
+            fast.add_interval(start, end, value)
+            _reference_add_interval(ref, start, end, value)
+        assert fast.weighted() == ref.weighted()

@@ -153,7 +153,7 @@ class TestClusterState:
         first = state.plan_batch(0.0, t_in=1.0, t_compute=4.0, t_out=1.0)
         state.commit_batch(first, size=1)
         assert first.completion == pytest.approx(6.0)
-        assert not state.has_free_slot
+        assert state.inflight == state.inflight_limit
         state.inflight -= 1
         second = state.plan_batch(0.0, t_in=1.0, t_compute=4.0, t_out=1.0)
         # Serialized: nothing overlaps the previous batch's drain.

@@ -15,6 +15,7 @@ import socket
 import threading
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -284,3 +285,44 @@ class TestLiveHTTP:
         assert "repro_serve_arrivals" in text
         assert "repro_serve_live_inflight" in text
         assert "repro_serve_live_uptime_seconds" in text
+
+    def test_serve_counters_follow_admitted_replies(self, server):
+        # The serve.* series are the core's own tallies, rendered at
+        # scrape time: N admitted replies move the tenant's arrivals
+        # and completions by exactly N, and the batch count by the
+        # batches that carried them.
+        def scrape():
+            status, body, _ = _http(server, "/metrics")
+            assert status == 200
+            return body
+
+        def post(value):
+            return _http(server, "/v1/infer", method="POST",
+                         body={"tenant": "demo", "values": [value]})
+
+        before = scrape()
+        values = (0.1, 0.2, 0.3)
+        with ThreadPoolExecutor(len(values)) as pool:
+            replies = list(pool.map(post, values))
+        assert [status for status, _, _ in replies] == [200] * len(values)
+        docs = [json.loads(body) for _, body, _ in replies]
+        assert {doc["outcome"] for doc in docs} == {"admitted"}
+        after = scrape()
+
+        def rise(name, label=""):
+            return (_prom_sum(after, name, label)
+                    - _prom_sum(before, name, label))
+
+        tenant = 'tenant="demo"'
+        assert rise("repro_serve_arrivals", tenant) == len(values)
+        assert rise("repro_serve_completed", tenant) == len(values)
+        assert rise("repro_serve_batches") == len({doc["batch"]
+                                                   for doc in docs})
+
+
+def _prom_sum(text, name, label=""):
+    """Sum of ``name``'s samples whose labels contain ``label``."""
+    return sum(float(line.rsplit(None, 1)[1])
+               for line in text.splitlines()
+               if line.startswith((name + "{", name + " "))
+               and label in line)

@@ -56,6 +56,7 @@ from repro.serve import (
 )
 from repro.serve.dispatch import RoutingConfig
 from repro.serve.scenario import BatchConfig, Overheads
+from tests.test_serve_conservation import assert_conserved
 
 _PAPER_MAX_LEVEL = 34
 
@@ -416,6 +417,9 @@ class TestV4Report:
         assert "TTFT p50" in text
         assert "Migr" in text
 
+    def test_requests_and_tokens_are_conserved(self, llm_mixed):
+        assert_conserved(llm_mixed)
+
 
 _CLI_ARGS = ["serve", "llm_mixed", "--duration", "400", "--json",
              "--validate"]
@@ -498,6 +502,11 @@ class TestSessionAffinity:
         assert "session_affinity" not in affine["routing"]
         assert blind["routing"]["session_affinity"] is False
         validate_serve_report(blind)
+
+    def test_both_routings_conserve_requests_and_tokens(self,
+                                                        chat_reports):
+        for report in chat_reports:
+            assert_conserved(report)
 
 
 # ---------------------------------------------------------------------------

@@ -111,3 +111,14 @@ class TestFabHostFabric:
     def test_broadcast_includes_pair_peer_fast(self, fab_fabric):
         _, deliveries = fab_fabric.broadcast(0, [1, 2], 25e6, 0.0)
         assert deliveries[1] < deliveries[2]
+
+    def test_lan_rx_serializes_senders_to_one_host(self, fab_fabric):
+        # Cards 0 and 2 (hosts 0 and 1) each send to card 4 (host 2) at
+        # once: their TX hops overlap, but host 2's LAN RX port takes
+        # the copies one after the other, so the second PCIe-down hop
+        # starts one wire time after the first.
+        size = 25e6
+        _, first = fab_fabric.unicast(0, 4, size, 0.0)
+        _, second = fab_fabric.unicast(2, 4, size, 0.0)
+        wire = size / fab_fabric._lan_rx[2].bandwidth
+        assert second[4] - first[4] == pytest.approx(wire)
