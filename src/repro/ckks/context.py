@@ -46,14 +46,6 @@ class CkksContext:
             )
         return self.rns.data_indices[: level + 1]
 
-    def level_of_basis(self, basis):
-        return len(basis) - 1
-
-    def scale_modulus_at_level(self, level):
-        """The modulus divided out when rescaling *from* ``level``."""
-        basis = self.basis_at_level(level)
-        return self.rns.moduli[basis[-1]]
-
     # ------------------------------------------------------------------
     # Galois elements
     # ------------------------------------------------------------------

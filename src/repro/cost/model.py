@@ -47,11 +47,6 @@ class OpComponents:
         return max(self.ntt_s, self.mm_s, self.ma_s, self.auto_s)
 
     @property
-    def busy_s(self):
-        """Total CU busy time (for energy accounting)."""
-        return self.ntt_s + self.mm_s + self.ma_s + self.auto_s
-
-    @property
     def seconds(self):
         return max(self.compute_s, self.hbm_s)
 

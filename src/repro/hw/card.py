@@ -92,11 +92,6 @@ class CardSpec:
         """Bytes/s of HBM traffic the card can actually sustain."""
         return self.hbm_bandwidth * self.hbm_efficiency
 
-    @property
-    def elementwise_throughput(self):
-        """Modular operations per second of one elementwise CU (MA/MM)."""
-        return self.lanes * self.frequency_hz * self.pipeline_efficiency
-
     def without_dtu(self):
         """A copy of this card with no DTU (the Hydra-S configuration)."""
         return replace(self, name=self.name + "-nodtu", dtu_bandwidth=0.0)

@@ -10,10 +10,8 @@ scenario seed.
 """
 
 from repro.llm.profile import (
-    LLM_MODELS,
     LLM_PHASES,
     LlmModelInfo,
-    LlmSpec,
     llm_info,
     phase_model,
     profile_models,
@@ -32,10 +30,8 @@ from repro.llm.session import (
 __all__ = [
     "KV_LEVELS_PER_TOKEN",
     "KvSession",
-    "LLM_MODELS",
     "LLM_PHASES",
     "LlmModelInfo",
-    "LlmSpec",
     "TOKEN_DISTRIBUTIONS",
     "TokenSampler",
     "kv_level_start",

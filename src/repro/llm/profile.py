@@ -24,70 +24,26 @@ alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.ckks.params import PAPER_PARAMS
 from repro.llm.session import (
+    KV_LEVELS_PER_TOKEN,
     kv_level_start,
     tokens_between_recharges,
 )
 from repro.models.graph import ModelGraph, Step
-from repro.models.transformer import (
-    _SLOTS,
-    transformer_decode_graph,
-    transformer_graph,
-)
+from repro.models.transformer import TRANSFORMER_SHAPES, transformer_graph
 
 __all__ = [
-    "LLM_MODELS",
     "LLM_PHASES",
     "LlmModelInfo",
-    "LlmSpec",
     "llm_info",
     "phase_model",
     "profile_models",
 ]
 
 LLM_PHASES = ("prefill", "decode", "recharge")
-
-
-@dataclass(frozen=True)
-class LlmSpec:
-    """Static shape of one transformer benchmark (Table I row)."""
-
-    name: str
-    display_name: str
-    layers: int
-    seq_len: int
-    hidden: int
-    ffn_dim: int
-    ccmm_units: int
-    activation_cts: int
-
-
-LLM_MODELS = {
-    "bert_base": LlmSpec(
-        name="bert_base",
-        display_name="BERT-base",
-        layers=12,
-        seq_len=128,
-        hidden=768,
-        ffn_dim=3072,
-        ccmm_units=384,
-        activation_cts=12,
-    ),
-    "opt_6_7b": LlmSpec(
-        name="opt_6_7b",
-        display_name="OPT-6.7B",
-        layers=32,
-        seq_len=200,
-        hidden=4096,
-        ffn_dim=16384,
-        ccmm_units=1000,
-        activation_cts=18,
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -104,54 +60,57 @@ class LlmModelInfo:
     decode_ccmm_units: int
 
 
-def _decode_ccmm_units(spec):
+def _shape(model):
+    """The Table I shape of a transformer benchmark."""
+    shape = TRANSFORMER_SHAPES.get(model)
+    if shape is None:
+        raise KeyError(
+            f"unknown LLM model {model!r}; available: "
+            f"{', '.join(sorted(TRANSFORMER_SHAPES))}")
+    return shape
+
+
+def _decode_ccmm_units(shape):
     """Per-step CCMM parallelism: the prefill value covers a
     ``seq x seq`` score block; one decode step covers a ``1 x seq``
     strip of it."""
-    return max(1, round(spec.ccmm_units / spec.seq_len))
+    return max(1, round(shape["ccmm_units"] / shape["seq_len"]))
 
 
 def llm_info(model, max_level=None):
     """Serving-side constants for one LLM benchmark."""
-    spec = LLM_MODELS.get(model)
-    if spec is None:
-        raise KeyError(
-            f"unknown LLM model {model!r}; available: "
-            f"{', '.join(sorted(LLM_MODELS))}")
+    shape = _shape(model)
     max_level = max_level or PAPER_PARAMS.max_level
-    from repro.llm.session import KV_LEVELS_PER_TOKEN
     return LlmModelInfo(
         model=model,
-        context_tokens=spec.seq_len,
-        kv_ciphertexts=2 * spec.layers * spec.activation_cts,
+        context_tokens=shape["seq_len"],
+        kv_ciphertexts=2 * shape["layers"] * shape["activation_cts"],
         kv_level_start=kv_level_start(max_level),
         levels_per_token=KV_LEVELS_PER_TOKEN,
         tokens_between_recharges=tokens_between_recharges(max_level),
-        decode_ccmm_units=_decode_ccmm_units(spec),
+        decode_ccmm_units=_decode_ccmm_units(shape),
     )
 
 
 def profile_models(model):
     """The qualified graph names a ``kind: llm`` tenant is planned
     with."""
-    if model not in LLM_MODELS:
-        raise KeyError(f"unknown LLM model {model!r}")
+    _shape(model)
     return tuple(f"{model}#{phase}" for phase in LLM_PHASES)
 
 
-def _recharge_graph(name, spec, max_level):
+def _recharge_graph(name, shape, max_level):
     """Bootstrap every cached K/V ciphertext back to full level."""
     graph = ModelGraph(
         name=name,
-        display_name=f"{spec.display_name} (KV recharge)",
+        display_name=f"{shape['display_name']} (KV recharge)",
     )
     graph.add(Step(
         kind="bootstrap",
         name="kv_recharge",
         procedure="Boot",
         level=max_level,
-        jobs=2 * spec.layers * spec.activation_cts,
-        slots_log=int(math.log2(_SLOTS)),
+        jobs=2 * shape["layers"] * shape["activation_cts"],
     ))
     return graph
 
@@ -163,33 +122,23 @@ def phase_model(qualified, max_level=None):
         raise KeyError(
             f"expected '<model>#<phase>' with phase in "
             f"{'/'.join(LLM_PHASES)}, got {qualified!r}")
-    spec = LLM_MODELS.get(model)
-    if spec is None:
-        raise KeyError(
-            f"unknown LLM model {model!r}; available: "
-            f"{', '.join(sorted(LLM_MODELS))}")
-    max_level = max_level or PAPER_PARAMS.max_level
-    if phase == "prefill":
-        return transformer_graph(
-            name=qualified,
-            display_name=f"{spec.display_name} (prefill)",
-            layers=spec.layers,
-            seq_len=spec.seq_len,
-            hidden=spec.hidden,
-            ffn_dim=spec.ffn_dim,
-            ccmm_units=spec.ccmm_units,
-            activation_cts=spec.activation_cts,
-            max_level=max_level,
-        )
+    shape = _shape(model)
+    if phase == "recharge":
+        return _recharge_graph(
+            qualified, shape, max_level or PAPER_PARAMS.max_level)
+    kwargs = dict(shape, display_name=f"{shape['display_name']} (prefill)")
     if phase == "decode":
-        return transformer_decode_graph(
-            name=qualified,
-            display_name=f"{spec.display_name} (decode step)",
-            layers=spec.layers,
-            context_tokens=spec.seq_len,
-            hidden=spec.hidden,
-            ffn_dim=spec.ffn_dim,
-            ccmm_units=_decode_ccmm_units(spec),
-            max_level=max_level,
+        # One autoregressive step: a single query token attends over the
+        # ``seq_len``-deep cache of key/value ciphertexts.  The PCMMs
+        # shrink to ``1 x dim`` units, the CCMM score/value matmuls cover
+        # a ``1 x context`` strip of the prefill's ``seq x seq`` block,
+        # and the live activations fit in a single ciphertext.  Level
+        # accounting is the prefill's, so bootstraps follow the same
+        # depth budget.
+        kwargs.update(
+            display_name=f"{shape['display_name']} (decode step)",
+            seq_len=1,
+            activation_cts=1,
+            ccmm_units=_decode_ccmm_units(shape),
         )
-    return _recharge_graph(qualified, spec, max_level)
+    return transformer_graph(qualified, max_level=max_level, **kwargs)

@@ -19,11 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.models.transformer import (
-    _BOOT_CONSUMES,
-    _BOOT_THRESHOLD,
-    _MATMUL_LEVELS,
-)
+from repro.models.graph import BOOT_CONSUMES, BOOT_THRESHOLD
+from repro.models.transformer import MATMUL_LEVELS
 from repro.serve.arrivals import tenant_seed
 
 __all__ = [
@@ -39,7 +36,7 @@ __all__ = [
 
 #: Two CCMMs (scores, then scores x values) consume the cached K/V per
 #: decode step.
-KV_LEVELS_PER_TOKEN = 2 * _MATMUL_LEVELS
+KV_LEVELS_PER_TOKEN = 2 * MATMUL_LEVELS
 
 #: Stream-derivation tag separating token draws from arrival draws.
 _TOKEN_STREAM_TAG = 0x544B  # "TK"
@@ -55,12 +52,12 @@ _DIST_KEYS = {
 
 def kv_level_start(max_level):
     """Level the KV cache holds right after prefill / a recharge."""
-    return max_level - _BOOT_CONSUMES
+    return max_level - BOOT_CONSUMES
 
 
 def tokens_between_recharges(max_level):
     """Decode steps the level budget sustains between bootstrap passes."""
-    budget = kv_level_start(max_level) - _BOOT_THRESHOLD
+    budget = kv_level_start(max_level) - BOOT_THRESHOLD
     return max(budget // KV_LEVELS_PER_TOKEN, 1)
 
 
@@ -81,7 +78,7 @@ class KvSession:
         happens *before* the step that would otherwise underflow the
         bootstrap threshold.
         """
-        recharge = self.level - KV_LEVELS_PER_TOKEN < _BOOT_THRESHOLD
+        recharge = self.level - KV_LEVELS_PER_TOKEN < BOOT_THRESHOLD
         if recharge:
             self.level = kv_level_start(self.max_level)
             self.recharges += 1

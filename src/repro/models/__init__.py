@@ -11,12 +11,7 @@ budget of [12]/[30].
 from repro.models.builder import CnnBuilder
 from repro.models.graph import ModelGraph, Step
 from repro.models.resnet import resnet18, resnet50
-from repro.models.transformer import (
-    bert_base,
-    opt_6_7b,
-    transformer_decode_graph,
-    transformer_graph,
-)
+from repro.models.transformer import bert_base, opt_6_7b, transformer_graph
 
 BENCHMARKS = {
     "resnet18": resnet18,
@@ -34,6 +29,5 @@ __all__ = [
     "opt_6_7b",
     "resnet18",
     "resnet50",
-    "transformer_decode_graph",
     "transformer_graph",
 ]

@@ -20,8 +20,8 @@ Example::
 from __future__ import annotations
 
 from repro.ckks.params import PAPER_PARAMS
-from repro.models.graph import ModelGraph
-from repro.models.resnet import _GraphCursor, _n_ct
+from repro.models.graph import LevelCursor, ModelGraph
+from repro.models.resnet import _convbn, _fc, _n_ct, _pool, _relu
 
 __all__ = ["CnnBuilder"]
 
@@ -36,9 +36,7 @@ class CnnBuilder:
         self.graph = ModelGraph(
             name=name, display_name=display_name or name
         )
-        self._cursor = _GraphCursor(
-            self.graph, max_level or PAPER_PARAMS.max_level
-        )
+        self._cursor = LevelCursor(self.graph, max_level)
         self._hw = input_hw
         self._channels = input_channels
         self._built = False
@@ -56,15 +54,15 @@ class CnnBuilder:
             if self._hw < 2:
                 raise ValueError("feature map too small to downsample")
             self._hw //= 2
-        self._cursor.convbn(self._hw, self._hw, self._channels,
-                            out_channels)
+        _convbn(self._cursor, self._hw, self._hw, self._channels,
+                out_channels)
         self._channels = out_channels
         return self
 
     def relu(self):
         """Add a non-linear layer over the current activation."""
         self._check_open()
-        self._cursor.relu(self._hw, self._hw, self._channels)
+        _relu(self._cursor, self._hw, self._hw, self._channels)
         return self
 
     def pool(self, k):
@@ -74,9 +72,8 @@ class CnnBuilder:
             raise ValueError(f"cannot pool {self._hw} by {k}")
         units = max(1, self._channels // max(1, k))
         self._hw //= k
-        self._cursor.pool(
-            units=units, out_cts=_n_ct(self._hw, self._hw, self._channels)
-        )
+        _pool(self._cursor, units=units,
+              out_cts=_n_ct(self._hw, self._hw, self._channels))
         return self
 
     def fc(self, out_features):
@@ -86,7 +83,7 @@ class CnnBuilder:
         # Parallelism scales with the weight-matrix size, normalized the
         # way [12]'s packing exposes it (see Table I's FC row).
         units = max(1, (flat * out_features) // PAPER_PARAMS.slot_count)
-        self._cursor.fc(units=units)
+        _fc(self._cursor, units=units)
         return self
 
     # ------------------------------------------------------------------

@@ -8,9 +8,26 @@ work across cards with overlapped communication.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-__all__ = ["Step", "ModelGraph"]
+from repro.ckks.params import PAPER_PARAMS
+
+__all__ = [
+    "BOOT_CONSUMES",
+    "BOOT_THRESHOLD",
+    "LevelCursor",
+    "ModelGraph",
+    "Step",
+]
+
+#: Levels a bootstrap consumes: 3 C2S + ~6 EvaExp + 2 DAF + 3 S2C.
+BOOT_CONSUMES = 14
+#: A step that would leave the ciphertext below this level is preceded
+#: by a bootstrap.
+BOOT_THRESHOLD = 8
+#: log2 of the paper parameters' slot count (bootstrap DFT sizing).
+_SLOTS_LOG = int(math.log2(PAPER_PARAMS.slot_count))
 
 _UNIT_KINDS = ("convbn", "pooling", "fc", "pcmm", "ccmm")
 _POLY_KINDS = ("nonlinear", "norm")
@@ -60,7 +77,7 @@ class Step:
     jobs: int = 0
     degree: int = 0
     output_ciphertexts: int = 1
-    slots_log: int = 15
+    slots_log: int = _SLOTS_LOG
     unit_work: float = 1.0
 
     def __post_init__(self):
@@ -109,12 +126,46 @@ class ModelGraph:
     def steps_of_kind(self, kind):
         return [s for s in self.steps if s.kind == kind]
 
-    def parallelism_range(self, kind):
-        """(min, max) parallel units/jobs over steps of ``kind``
-        — the Table I census."""
-        values = []
-        for s in self.steps_of_kind(kind):
-            values.append(s.units if s.is_unit_parallel else s.jobs)
-        if not values:
-            return None
-        return min(values), max(values)
+
+class LevelCursor:
+    """Adds steps to a graph in order while tracking the ciphertext level.
+
+    Every builder (ResNet, :class:`~repro.models.CnnBuilder`, the
+    transformer) adds its steps through one cursor.  A step runs at the
+    current level and consumes ``levels`` of it.  When that would leave
+    the ciphertext below :data:`BOOT_THRESHOLD`, a bootstrap over the
+    ``live_cts`` live ciphertexts goes first and restores the chain minus
+    its own consumption (the depth accounting of [12]/[30]).  Steps are
+    named ``<prefix>_<n>``, numbered in the order they are added.
+    """
+
+    def __init__(self, graph, max_level=None):
+        self.graph = graph
+        self.max_level = max_level or PAPER_PARAMS.max_level
+        self.level = self.max_level - 1
+        self._count = 0
+
+    def _name(self, prefix):
+        self._count += 1
+        return f"{prefix}_{self._count}"
+
+    def add(self, kind, prefix, procedure, *, levels, live_cts, **fields):
+        """Add one ``kind`` step that consumes ``levels``; ``fields``
+        are its other :class:`Step` attributes."""
+        if self.level - levels < BOOT_THRESHOLD:
+            self.graph.add(Step(
+                kind="bootstrap",
+                name=self._name("boot"),
+                procedure="Boot",
+                level=self.max_level,
+                jobs=live_cts,
+            ))
+            self.level = self.max_level - BOOT_CONSUMES
+        self.graph.add(Step(
+            kind=kind,
+            name=self._name(prefix),
+            procedure=procedure,
+            level=self.level,
+            **fields,
+        ))
+        self.level -= levels

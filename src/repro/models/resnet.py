@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 
 from repro.ckks.params import PAPER_PARAMS
-from repro.models.graph import ModelGraph, Step
+from repro.models.graph import LevelCursor, ModelGraph
 
 __all__ = ["resnet18", "resnet50"]
 
@@ -32,8 +32,6 @@ _RELU_DEGREE = 9  # yields Table I's ~8 CMult per evaluation
 _CONV_LEVELS = 2
 _RELU_LEVELS = 5
 _POOL_LEVELS = 1
-_BOOT_CONSUMES = 14  # 3 C2S + ~6 EvaExp + 2 DAF + 3 S2C
-_BOOT_THRESHOLD = 8
 _CONV_UNIT_CAP = 1024  # Table I: the implementation groups kernels beyond
 
 
@@ -48,122 +46,66 @@ def _n_ct(h, w, channels):
     return max(1, math.ceil(channels / _channels_per_ct(h, w)))
 
 
-class _GraphCursor:
-    """Tracks levels and inserts bootstraps while building a graph."""
+def _convbn(cur, h, w, c_in, c_out, input_ciphertexts=None):
+    n_in = input_ciphertexts or _n_ct(h, w, c_in)
+    # Units = kernels x input ciphertexts x 2 multiplexed halves;
+    # reproduces Table I's 384 (stem) .. 1024 (layer-1) range.  The
+    # implementation of [12] groups kernels beyond 1024 units (Table
+    # I's cap); unit_work preserves the total operation count.
+    raw = 2 * c_out * n_in
+    units = min(raw, _CONV_UNIT_CAP)
+    cur.add("convbn", "convbn", "ConvBN", levels=_CONV_LEVELS,
+            live_cts=n_in, units=units, unit_work=raw / units,
+            output_ciphertexts=_n_ct(h, w, c_out))
 
-    def __init__(self, graph, max_level):
-        self.graph = graph
-        self.max_level = max_level
-        self.level = max_level - 1
-        self._counter = 0
 
-    def _name(self, prefix):
-        self._counter += 1
-        return f"{prefix}_{self._counter}"
+def _relu(cur, h, w, channels):
+    n_ct = _n_ct(h, w, channels)
+    cur.add("nonlinear", "relu", "ReLU", levels=_RELU_LEVELS,
+            live_cts=n_ct, jobs=4 * n_ct, degree=_RELU_DEGREE)
 
-    def _maybe_bootstrap(self, needed, live_cts):
-        if self.level - needed < _BOOT_THRESHOLD:
-            self.graph.add(Step(
-                kind="bootstrap",
-                name=self._name("boot"),
-                procedure="Boot",
-                level=self.max_level,
-                jobs=live_cts,
-                slots_log=int(math.log2(_SLOTS)),
-            ))
-            self.level = self.max_level - _BOOT_CONSUMES
 
-    def convbn(self, h, w, c_in, c_out, input_ciphertexts=None):
-        n_in = input_ciphertexts or _n_ct(h, w, c_in)
-        self._maybe_bootstrap(_CONV_LEVELS, n_in)
-        # Units = kernels x input ciphertexts x 2 multiplexed halves;
-        # reproduces Table I's 384 (stem) .. 1024 (layer-1) range.  The
-        # implementation of [12] groups kernels beyond 1024 units (Table
-        # I's cap); unit_work preserves the total operation count.
-        raw = 2 * c_out * n_in
-        units = min(raw, _CONV_UNIT_CAP)
-        self.graph.add(Step(
-            kind="convbn",
-            name=self._name("convbn"),
-            procedure="ConvBN",
-            level=self.level,
-            units=units,
-            unit_work=raw / units,
-            output_ciphertexts=_n_ct(h, w, c_out),
-        ))
-        self.level -= _CONV_LEVELS
-        return _n_ct(h, w, c_out)
+def _pool(cur, units, out_cts):
+    cur.add("pooling", "pool", "Pooling", levels=_POOL_LEVELS,
+            live_cts=out_cts, units=units, output_ciphertexts=out_cts)
 
-    def relu(self, h, w, channels):
-        n_ct = _n_ct(h, w, channels)
-        self._maybe_bootstrap(_RELU_LEVELS, n_ct)
-        self.graph.add(Step(
-            kind="nonlinear",
-            name=self._name("relu"),
-            procedure="ReLU",
-            level=self.level,
-            jobs=4 * n_ct,
-            degree=_RELU_DEGREE,
-        ))
-        self.level -= _RELU_LEVELS
 
-    def pool(self, units, out_cts, final=False):
-        self._maybe_bootstrap(_POOL_LEVELS, out_cts)
-        self.graph.add(Step(
-            kind="pooling",
-            name=self._name("pool"),
-            procedure="Pooling",
-            level=self.level,
-            units=units,
-            output_ciphertexts=out_cts,
-        ))
-        self.level -= _POOL_LEVELS
-
-    def fc(self, units):
-        self._maybe_bootstrap(_CONV_LEVELS, 1)
-        self.graph.add(Step(
-            kind="fc",
-            name=self._name("fc"),
-            procedure="FC",
-            level=self.level,
-            units=units,
-            output_ciphertexts=1,
-        ))
-        self.level -= _CONV_LEVELS
+def _fc(cur, units):
+    cur.add("fc", "fc", "FC", levels=_CONV_LEVELS, live_cts=1,
+            units=units)
 
 
 def _basic_block(cur, h, w, c_in, c_out, downsample):
     """ResNet-18/34 basic block: two 3x3 ConvBN + ReLU (+ shortcut)."""
-    cur.convbn(h, w, c_in, c_out)
-    cur.relu(h, w, c_out)
-    cur.convbn(h, w, c_out, c_out)
+    _convbn(cur, h, w, c_in, c_out)
+    _relu(cur, h, w, c_out)
+    _convbn(cur, h, w, c_out, c_out)
     if downsample:
-        cur.convbn(h, w, c_in, c_out)  # 1x1 projection shortcut
-    cur.relu(h, w, c_out)
+        _convbn(cur, h, w, c_in, c_out)  # 1x1 projection shortcut
+    _relu(cur, h, w, c_out)
 
 
 def _bottleneck(cur, h, w, c_in, c_mid, c_out, downsample):
     """ResNet-50 bottleneck: 1x1 down, 3x3, 1x1 up (+ shortcut)."""
-    cur.convbn(h, w, c_in, c_mid)
-    cur.relu(h, w, c_mid)
-    cur.convbn(h, w, c_mid, c_mid)
-    cur.relu(h, w, c_mid)
-    cur.convbn(h, w, c_mid, c_out)
+    _convbn(cur, h, w, c_in, c_mid)
+    _relu(cur, h, w, c_mid)
+    _convbn(cur, h, w, c_mid, c_mid)
+    _relu(cur, h, w, c_mid)
+    _convbn(cur, h, w, c_mid, c_out)
     if downsample:
-        cur.convbn(h, w, c_in, c_out)
-    cur.relu(h, w, c_out)
+        _convbn(cur, h, w, c_in, c_out)
+    _relu(cur, h, w, c_out)
 
 
 def resnet18(max_level=None):
     """ResNet-18 on ImageNet 224x224 (paper benchmark 1)."""
-    max_level = max_level or PAPER_PARAMS.max_level
-    graph = ModelGraph(name="resnet18", display_name="ResNet-18")
-    cur = _GraphCursor(graph, max_level)
+    cur = LevelCursor(
+        ModelGraph(name="resnet18", display_name="ResNet-18"), max_level)
     # Stem: 7x7/2 conv to 112x112x64, ReLU, 3x3/2 maxpool to 56x56.  The
     # RGB input packs into 3 channel ciphertexts (2*64*3 = Table I's 384).
-    cur.convbn(112, 112, 3, 64, input_ciphertexts=3)
-    cur.relu(112, 112, 64)
-    cur.pool(units=64, out_cts=_n_ct(56, 56, 64))
+    _convbn(cur, 112, 112, 3, 64, input_ciphertexts=3)
+    _relu(cur, 112, 112, 64)
+    _pool(cur, units=64, out_cts=_n_ct(56, 56, 64))
     stages = [(56, 64, 64), (28, 64, 128), (14, 128, 256), (7, 256, 512)]
     for stage_idx, (h, c_in, c_out) in enumerate(stages):
         for block in range(2):
@@ -173,19 +115,18 @@ def resnet18(max_level=None):
                 c_in if first else c_out, c_out,
                 downsample=first and stage_idx > 0,
             )
-    cur.pool(units=6, out_cts=1, final=True)  # global average pool
-    cur.fc(units=1511)  # Table I measured FC parallelism for ResNet-18
-    return graph
+    _pool(cur, units=6, out_cts=1)  # global average pool
+    _fc(cur, units=1511)  # Table I measured FC parallelism for ResNet-18
+    return cur.graph
 
 
 def resnet50(max_level=None):
     """ResNet-50 on ImageNet 224x224 (paper benchmark 2)."""
-    max_level = max_level or PAPER_PARAMS.max_level
-    graph = ModelGraph(name="resnet50", display_name="ResNet-50")
-    cur = _GraphCursor(graph, max_level)
-    cur.convbn(112, 112, 3, 64, input_ciphertexts=3)
-    cur.relu(112, 112, 64)
-    cur.pool(units=256, out_cts=_n_ct(56, 56, 64))
+    cur = LevelCursor(
+        ModelGraph(name="resnet50", display_name="ResNet-50"), max_level)
+    _convbn(cur, 112, 112, 3, 64, input_ciphertexts=3)
+    _relu(cur, 112, 112, 64)
+    _pool(cur, units=256, out_cts=_n_ct(56, 56, 64))
     stages = [
         (56, 64, 64, 256, 3),
         (28, 256, 128, 512, 4),
@@ -200,6 +141,6 @@ def resnet50(max_level=None):
                 c_in if first else c_out, c_mid, c_out,
                 downsample=first,
             )
-    cur.pool(units=12, out_cts=1, final=True)
-    cur.fc(units=3047)  # Table I measured FC parallelism for ResNet-50
-    return graph
+    _pool(cur, units=12, out_cts=1)
+    _fc(cur, units=3047)  # Table I measured FC parallelism for ResNet-50
+    return cur.graph

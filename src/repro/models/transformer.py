@@ -15,31 +15,51 @@ blocks, Softmax, GeLU, two LayerNorms).
 
 from __future__ import annotations
 
-import math
-
-from repro.ckks.params import PAPER_PARAMS
-from repro.models.graph import ModelGraph, Step
+from repro.models.graph import LevelCursor, ModelGraph
 
 __all__ = [
+    "MATMUL_LEVELS",
+    "TRANSFORMER_SHAPES",
     "bert_base",
     "opt_6_7b",
-    "transformer_decode_graph",
     "transformer_graph",
 ]
 
-_SLOTS = PAPER_PARAMS.slot_count
 _SOFTMAX_DEGREE = 9
 _GELU_DEGREE = 9
 _NORM_DEGREE = 5  # inverse-sqrt approximation
-_MATMUL_LEVELS = 1
+#: Levels one matmul consumes; a CCMM takes two.
+MATMUL_LEVELS = 1
 _NONLINEAR_LEVELS = 5
 _NORM_LEVELS = 3
-_BOOT_CONSUMES = 14
-_BOOT_THRESHOLD = 8
 #: Column width of one schedulable PCMM unit in [13]'s packing; Table I's
 #: OPT row (153,600 = 200 x 768) shows the unit granularity is fixed at
 #: BERT's hidden size even for wider models.
 _ANCHOR_WIDTH = 768
+
+#: The transformer benchmarks' shapes (Table I rows), as the keyword
+#: arguments of :func:`transformer_graph`.  ``repro.llm`` derives the
+#: serving phases of each model from the same row.
+TRANSFORMER_SHAPES = {
+    "bert_base": dict(
+        display_name="BERT-base",
+        layers=12,
+        seq_len=128,
+        hidden=768,
+        ffn_dim=3072,
+        ccmm_units=384,  # Table I measured CCMM parallelism
+        activation_cts=12,  # Table I ciphertext row (max)
+    ),
+    "opt_6_7b": dict(
+        display_name="OPT-6.7B",
+        layers=32,
+        seq_len=200,
+        hidden=4096,
+        ffn_dim=16384,
+        ccmm_units=1000,  # Table I measured CCMM parallelism
+        activation_cts=18,  # Table I ciphertext row (max)
+    ),
+}
 
 
 def transformer_graph(
@@ -54,84 +74,33 @@ def transformer_graph(
     max_level=None,
 ):
     """Build an encoder-style FHE transformer workload."""
-    max_level = max_level or PAPER_PARAMS.max_level
-    graph = ModelGraph(name=name, display_name=display_name)
-    level = max_level - 1
-    counter = [0]
-
-    def step_name(prefix):
-        counter[0] += 1
-        return f"{prefix}_{counter[0]}"
-
-    def maybe_boot(needed):
-        nonlocal level
-        if level - needed < _BOOT_THRESHOLD:
-            graph.add(Step(
-                kind="bootstrap",
-                name=step_name("boot"),
-                procedure="Boot",
-                level=max_level,
-                jobs=activation_cts,
-                slots_log=int(math.log2(_SLOTS)),
-            ))
-            level = max_level - _BOOT_CONSUMES
+    cur = LevelCursor(
+        ModelGraph(name=name, display_name=display_name), max_level)
 
     def pcmm(raw_units, anchored_units, tag):
-        nonlocal level
-        maybe_boot(_MATMUL_LEVELS)
         # The implementation of [13] fixes the schedulable PCMM unit
         # count at seq x 768-column granularity (Table I's 153,600 /
         # 614,400 for OPT); unit_work folds the wider embedding back in.
         units = min(raw_units, anchored_units)
-        graph.add(Step(
-            kind="pcmm",
-            name=step_name("pcmm"),
-            procedure=tag,
-            level=level,
-            units=units,
-            unit_work=raw_units / units,
-            output_ciphertexts=activation_cts,
-        ))
-        level -= _MATMUL_LEVELS
+        cur.add("pcmm", "pcmm", tag, levels=MATMUL_LEVELS,
+                live_cts=activation_cts, units=units,
+                unit_work=raw_units / units,
+                output_ciphertexts=activation_cts)
 
     def ccmm(tag):
-        nonlocal level
-        maybe_boot(2 * _MATMUL_LEVELS)
-        graph.add(Step(
-            kind="ccmm",
-            name=step_name("ccmm"),
-            procedure=tag,
-            level=level,
-            units=ccmm_units,
-            output_ciphertexts=activation_cts,
-        ))
-        level -= 2 * _MATMUL_LEVELS
+        cur.add("ccmm", "ccmm", tag, levels=2 * MATMUL_LEVELS,
+                live_cts=activation_cts, units=ccmm_units,
+                output_ciphertexts=activation_cts)
 
     def nonlinear(degree, tag):
-        nonlocal level
-        maybe_boot(_NONLINEAR_LEVELS)
-        graph.add(Step(
-            kind="nonlinear",
-            name=step_name(tag.lower()),
-            procedure=tag,
-            level=level,
-            jobs=4 * activation_cts,
-            degree=degree,
-        ))
-        level -= _NONLINEAR_LEVELS
+        cur.add("nonlinear", tag.lower(), tag, levels=_NONLINEAR_LEVELS,
+                live_cts=activation_cts, jobs=4 * activation_cts,
+                degree=degree)
 
     def norm():
-        nonlocal level
-        maybe_boot(_NORM_LEVELS)
-        graph.add(Step(
-            kind="norm",
-            name=step_name("norm"),
-            procedure="Norm",
-            level=level,
-            jobs=4 * activation_cts,
-            degree=_NORM_DEGREE,
-        ))
-        level -= _NORM_LEVELS
+        cur.add("norm", "norm", "Norm", levels=_NORM_LEVELS,
+                live_cts=activation_cts, jobs=4 * activation_cts,
+                degree=_NORM_DEGREE)
 
     proj_anchor = seq_len * min(hidden, _ANCHOR_WIDTH)
     ffn_anchor = seq_len * min(ffn_dim, 4 * _ANCHOR_WIDTH)
@@ -149,151 +118,16 @@ def transformer_graph(
         nonlinear(_GELU_DEGREE, "FFN")  # GeLU
         pcmm(seq_len * hidden, proj_anchor, "FFN")
         norm()
-    return graph
-
-
-def transformer_decode_graph(
-    name,
-    display_name,
-    layers,
-    context_tokens,
-    hidden,
-    ffn_dim,
-    ccmm_units,
-    max_level=None,
-):
-    """Build one autoregressive decode step of a transformer.
-
-    A single query token attends over a ``context_tokens``-deep cache of
-    key/value ciphertexts.  Relative to the prompt-batch (prefill) graph
-    the PCMMs shrink from ``seq_len x dim`` to ``1 x dim`` units, the
-    CCMM score/value matmuls cover a ``1 x context`` strip instead of a
-    ``seq x seq`` block (``ccmm_units`` here is the *per-step* measured
-    parallelism, not the prefill value), and the live activations fit in
-    a single ciphertext.  Level accounting is identical to the prefill
-    graph so bootstrap placement follows the same depth budget.
-    """
-    max_level = max_level or PAPER_PARAMS.max_level
-    graph = ModelGraph(name=name, display_name=display_name)
-    decode_cts = 1  # a single token's activations fit one ciphertext
-    level = max_level - 1
-    counter = [0]
-
-    def step_name(prefix):
-        counter[0] += 1
-        return f"{prefix}_{counter[0]}"
-
-    def maybe_boot(needed):
-        nonlocal level
-        if level - needed < _BOOT_THRESHOLD:
-            graph.add(Step(
-                kind="bootstrap",
-                name=step_name("boot"),
-                procedure="Boot",
-                level=max_level,
-                jobs=decode_cts,
-                slots_log=int(math.log2(_SLOTS)),
-            ))
-            level = max_level - _BOOT_CONSUMES
-
-    def pcmm(raw_units, anchored_units, tag):
-        nonlocal level
-        maybe_boot(_MATMUL_LEVELS)
-        units = min(raw_units, anchored_units)
-        graph.add(Step(
-            kind="pcmm",
-            name=step_name("pcmm"),
-            procedure=tag,
-            level=level,
-            units=units,
-            unit_work=raw_units / units,
-            output_ciphertexts=decode_cts,
-        ))
-        level -= _MATMUL_LEVELS
-
-    def ccmm(tag):
-        nonlocal level
-        maybe_boot(2 * _MATMUL_LEVELS)
-        graph.add(Step(
-            kind="ccmm",
-            name=step_name("ccmm"),
-            procedure=tag,
-            level=level,
-            units=ccmm_units,
-            output_ciphertexts=decode_cts,
-        ))
-        level -= 2 * _MATMUL_LEVELS
-
-    def nonlinear(degree, tag):
-        nonlocal level
-        maybe_boot(_NONLINEAR_LEVELS)
-        graph.add(Step(
-            kind="nonlinear",
-            name=step_name(tag.lower()),
-            procedure=tag,
-            level=level,
-            jobs=4 * decode_cts,
-            degree=degree,
-        ))
-        level -= _NONLINEAR_LEVELS
-
-    def norm():
-        nonlocal level
-        maybe_boot(_NORM_LEVELS)
-        graph.add(Step(
-            kind="norm",
-            name=step_name("norm"),
-            procedure="Norm",
-            level=level,
-            jobs=4 * decode_cts,
-            degree=_NORM_DEGREE,
-        ))
-        level -= _NORM_LEVELS
-
-    del context_tokens  # folded into the caller-derived ccmm_units
-    proj_anchor = min(hidden, _ANCHOR_WIDTH)
-    ffn_anchor = min(ffn_dim, 4 * _ANCHOR_WIDTH)
-    for _ in range(layers):
-        # --- Attention block (query strip over the KV cache) ----------
-        pcmm(3 * hidden, 3 * proj_anchor, "Attention")  # fused Q, K, V
-        ccmm("Attention")  # scores: q K^T over the cached keys
-        nonlinear(_SOFTMAX_DEGREE, "Attention")
-        ccmm("Attention")  # scores x cached values
-        pcmm(hidden, proj_anchor, "Attention")  # output projection
-        norm()
-        # --- Feed-forward block ---------------------------------------
-        pcmm(ffn_dim, ffn_anchor, "FFN")
-        nonlinear(_GELU_DEGREE, "FFN")
-        pcmm(hidden, proj_anchor, "FFN")
-        norm()
-    return graph
+    return cur.graph
 
 
 def bert_base(max_level=None):
     """BERT-base, input 128x768 (paper benchmark 3)."""
     return transformer_graph(
-        name="bert_base",
-        display_name="BERT-base",
-        layers=12,
-        seq_len=128,
-        hidden=768,
-        ffn_dim=3072,
-        ccmm_units=384,  # Table I measured CCMM parallelism
-        activation_cts=12,  # Table I ciphertext row (max)
-        max_level=max_level,
-    )
+        "bert_base", max_level=max_level, **TRANSFORMER_SHAPES["bert_base"])
 
 
 def opt_6_7b(max_level=None):
     """OPT-6.7B, input 200x4096 (paper benchmark 4)."""
     return transformer_graph(
-        name="opt_6_7b",
-        display_name="OPT-6.7B",
-        layers=32,
-        seq_len=200,
-        hidden=4096,
-        ffn_dim=16384,
-        ccmm_units=1000,  # Table I measured CCMM parallelism
-        activation_cts=18,  # Table I ciphertext row (max)
-        max_level=max_level,
-    )
+        "opt_6_7b", max_level=max_level, **TRANSFORMER_SHAPES["opt_6_7b"])

@@ -16,8 +16,6 @@ overlap argument of Section III-A.
 
 from __future__ import annotations
 
-import math
-
 from repro.ir import as_trace
 
 __all__ = ["map_distributed_units"]
@@ -111,9 +109,3 @@ def map_distributed_units(
                 builder.broadcast(node, size, after=compute_idx[node][r],
                                   tag=tag)
     return unit_time * units  # total single-card-equivalent work
-
-
-def units_round_count(units, num_nodes, rounds=4):
-    """Rounds the busiest node runs (used in tests/analysis)."""
-    node_units = math.ceil(units / num_nodes)
-    return min(rounds, max(1, node_units))

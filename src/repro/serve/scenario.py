@@ -194,13 +194,14 @@ class TenantSpec:
             )
         params_preset(self.params)  # fail fast on unknown presets
         if self.kind == "llm":
-            from repro.llm import LLM_MODELS, validate_token_distribution
+            from repro.llm import validate_token_distribution
+            from repro.models.transformer import TRANSFORMER_SHAPES
 
-            if self.model not in LLM_MODELS:
+            if self.model not in TRANSFORMER_SHAPES:
                 raise ValueError(
                     f"tenant {self.name!r}: kind 'llm' needs a "
                     f"transformer model, got {self.model!r} "
-                    f"(available: {', '.join(sorted(LLM_MODELS))})"
+                    f"(available: {', '.join(sorted(TRANSFORMER_SHAPES))})"
                 )
             validate_token_distribution(
                 self.name, "prompt_tokens", self.prompt_token_options)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import parallelism_census
 from repro.core import (
     HydraSystem,
     available_benchmarks,
@@ -62,8 +63,12 @@ class TestGraphUtilities:
         assert g.procedures == ["Boot", "ConvBN"]
 
     def test_parallelism_range_missing_kind(self):
+        # The Table I census has no row for a kind the graph lacks.
         g = ModelGraph(name="g", display_name="G")
-        assert g.parallelism_range("pcmm") is None
+        g.add(Step(kind="convbn", name="a", procedure="ConvBN", level=5,
+                   units=4))
+        census = parallelism_census(g)
+        assert "ConvBN" in census and "PCMM" not in census
 
     def test_step_flags(self):
         conv = Step(kind="convbn", name="c", procedure="C", level=5,

@@ -33,7 +33,9 @@ class TestNearestRank:
         values = [1.0, 2.0, 3.0, 4.0]
         assert nearest_rank(values, 50) == 2.0
         assert nearest_rank(values, 75) == 3.0
+        assert nearest_rank(values, 95) == 4.0
         assert nearest_rank(values, 100) == 4.0
+        assert nearest_rank([7.0], 99) == 7.0
         assert nearest_rank([], 50) is None
 
     def test_rejects_out_of_range(self):

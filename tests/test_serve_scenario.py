@@ -7,6 +7,7 @@ import re
 import pytest
 
 from repro.core.cli import main as cli_main
+from repro.obs.streaming import StreamingHistogram
 from repro.serve import (
     AdmissionQueue,
     Request,
@@ -16,7 +17,6 @@ from repro.serve import (
     generate_arrivals,
     load_scenario,
     make_policy,
-    percentile,
     resolve_fleet_cluster,
     validate_scenario_files,
 )
@@ -258,10 +258,18 @@ class TestQueueing:
 
 class TestPercentile:
     def test_nearest_rank(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert percentile(values, 50) == 2.0
-        assert percentile(values, 95) == 4.0
-        assert percentile([7.0], 99) == 7.0
+        # Report latency quantiles come from a per-tenant histogram, which
+        # is exact nearest-rank while it holds few values.
+        def quantile(values, q):
+            hist = StreamingHistogram()
+            for value in values:
+                hist.add(value)
+            return hist.quantile(q)
+
+        values = [4.0, 1.0, 3.0, 2.0]
+        assert quantile(values, 50) == 2.0
+        assert quantile(values, 95) == 4.0
+        assert quantile([7.0], 99) == 7.0
 
     def test_batch_config_validation(self):
         with pytest.raises(ValueError):
