@@ -10,6 +10,7 @@ near-instant.
 
 from __future__ import annotations
 
+from repro.core import cluster_named
 from repro.runtime import RunRequest, execute
 
 BENCHMARK_LABELS = {
@@ -27,7 +28,7 @@ LLM_BENCHMARKS = ("bert_base", "opt_6_7b")
 
 def run(benchmark, system, with_energy=True):
     """Cached full-model run on a named deployment."""
-    request = RunRequest(benchmark=benchmark, system=system,
+    request = RunRequest(benchmark=benchmark, cluster=cluster_named(system),
                          with_energy=with_energy)
     return execute([request])[0].result
 

@@ -11,13 +11,11 @@ contribution:
    optimum vs reusing the single-card algorithmic optimum.
 """
 
-import math
-
 from _harness import run  # noqa: F401
 
 from repro.analysis import format_table
 from repro.cost import CONVBN_UNIT, OpCostModel
-from repro.hw import HYDRA_CARD, HYDRA_L, HYDRA_M, hydra_cluster
+from repro.hw import HYDRA_CARD, HYDRA_L, HYDRA_M
 from repro.sched import (
     dft_time_model,
     map_bootstrap,
@@ -31,7 +29,7 @@ def _conv_layer_time(cluster, rounds):
     cost = OpCostModel(cluster.card)
     builder = ProgramBuilder(cluster.total_cards)
     map_distributed_units(
-        builder, cost, units=1024, unit_bundle=CONVBN_UNIT, level=25,
+        builder, cost, units=1024, unit_trace=CONVBN_UNIT, level=25,
         output_ciphertexts=8, tag="ConvBN", rounds=rounds,
     )
     return Simulator(cluster).run(builder.build()).makespan

@@ -18,7 +18,8 @@ def build_table1():
         for layer, data in sorted(census.items()):
             ops = data["ops"]
             ops_text = (
-                f"{ops.rotation}R {ops.cmult}C {ops.pmult}P {ops.hadd}H"
+                f"{ops.total('rotation')}R {ops.total('cmult')}C "
+                f"{ops.total('pmult')}P {ops.total('hadd')}H"
                 if ops is not None else "-"
             )
             ref = PAPER_TABLE1[name].get(layer)

@@ -29,7 +29,7 @@ _KIND_LABELS = {
     "bootstrap": "Ciphertext",
 }
 
-_KIND_BUNDLES = {
+_KIND_ROWS = {
     "ConvBN": CONVBN_UNIT,
     "Pooling": POOLING_UNIT,
     "FC": FC_UNIT,
@@ -60,7 +60,7 @@ PAPER_TABLE1 = {
 
 
 def parallelism_census(model):
-    """Return {row_label: {"min", "max", "ops": OpBundle-or-None}}.
+    """Return {row_label: {"min", "max", "ops": OpTrace-or-None}}.
 
     Unit-parallel rows report their unit counts; "Non-linear" reports
     polynomial-evaluation jobs; "Ciphertext" reports live activation
@@ -71,7 +71,7 @@ def parallelism_census(model):
     def account(label, value):
         row = census.setdefault(
             label, {"min": value, "max": value,
-                    "ops": _KIND_BUNDLES.get(label)}
+                    "ops": _KIND_ROWS.get(label)}
         )
         row["min"] = min(row["min"], value)
         row["max"] = max(row["max"], value)

@@ -201,9 +201,6 @@ class Evaluator:
             scale=new_scale,
         )
 
-    def multiply_and_rescale(self, ct_a, ct_b, relin_key) -> Ciphertext:
-        return self.rescale(self.multiply(ct_a, ct_b, relin_key))
-
     # ------------------------------------------------------------------
     # Rotations
     # ------------------------------------------------------------------

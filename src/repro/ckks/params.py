@@ -119,8 +119,6 @@ class PaperParameterSet:
     log_pq: int = 1692
     modulus_word_bits: int = 36  # SHARP-style short words
     scale_bits: int = 45
-    boot_dft_levels: int = 3  # multiplication depth spent per C2S/S2C pass
-    evalexp_degree: int = 59  # paper Section III-B
 
     @property
     def slot_count(self):

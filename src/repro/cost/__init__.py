@@ -19,7 +19,6 @@ from repro.cost.ops import (
     NONLINEAR_UNIT,
     PCMM_UNIT,
     POOLING_UNIT,
-    OpBundle,
 )
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "EnergyModel",
     "FC_UNIT",
     "NONLINEAR_UNIT",
-    "OpBundle",
     "OpComponents",
     "OpCostModel",
     "PCMM_UNIT",

@@ -16,8 +16,7 @@ import math
 from dataclasses import dataclass
 
 from repro.ckks.params import PAPER_PARAMS
-from repro.cost.ops import OpBundle
-from repro.ir import as_trace, coerce_op
+from repro.ir import coerce_op
 
 __all__ = ["OpComponents", "OpCostModel"]
 
@@ -125,11 +124,6 @@ class OpCostModel:
                 f"level must be in [0, {self.params.max_level}], got {level}"
             )
         return level + 1
-
-    @property
-    def default_level(self):
-        """A representative mid-chain level for coarse planning."""
-        return self.params.max_level // 2
 
     def dnum(self, level):
         """Keyswitch digit count at ``level`` (hybrid decomposition)."""
@@ -259,7 +253,7 @@ class OpCostModel:
             ) from None
 
     # ------------------------------------------------------------------
-    # IR lowering (traces and Table-I bundle rows)
+    # IR lowering (op traces, Table I rows included)
     # ------------------------------------------------------------------
 
     def lower(self, trace, level=None):
@@ -267,11 +261,11 @@ class OpCostModel:
 
         ``level`` binds trace entries whose level is unbound (``None``);
         entries carrying their own level are priced at it.  Iteration
-        follows the IR's canonical op order, which reproduces the legacy
-        ``bundle()`` if-chain summation order exactly (float addition is
-        order-sensitive, and cached baselines depend on the old bytes).
+        follows the IR's canonical op order, whatever order the trace was
+        built in, so the sum is the same float however a row is written
+        (float addition is order-sensitive, and plan pins depend on the
+        bytes).
         """
-        trace = as_trace(trace)
         total = OpComponents()
         for (op, lvl), count in trace.items():
             if not count:
@@ -284,13 +278,3 @@ class OpCostModel:
                 )
             total = total + self.op(op, effective).scaled(count)
         return total
-
-    def bundle(self, bundle: OpBundle, level):
-        """Components of one parallel unit described by ``bundle``.
-
-        Thin wrapper over :meth:`lower` kept for the Table-I call sites.
-        """
-        return self.lower(bundle, level)
-
-    def bundle_time(self, bundle: OpBundle, level):
-        return self.bundle(bundle, level).seconds

@@ -1,17 +1,18 @@
-"""The FHE operation vocabulary and per-layer operation bundles.
+"""The Table I rows: FHE operations per DL parallel unit.
 
 Paper Table I decomposes every DL parallel unit into counts of four FHE
-operations; those rows are reproduced here as :class:`OpBundle` constants.
-Schedulers hand bundles to :class:`repro.cost.OpCostModel` to price a
-parallel unit at a given ciphertext level.
+operations; those rows are reproduced here as level-unbound
+:class:`repro.ir.OpTrace` constants.  Schedulers bind a step's level
+with :meth:`~repro.ir.OpTrace.at_level` and hand the trace to
+:meth:`repro.cost.OpCostModel.lower`.  The constants are shared: never
+update them in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from repro.ir import OpTrace
 
 __all__ = [
-    "OpBundle",
     "CONVBN_UNIT",
     "POOLING_UNIT",
     "FC_UNIT",
@@ -21,65 +22,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class OpBundle:
-    """Counts of FHE operations making up one parallel compute unit."""
-
-    rotation: int = 0
-    cmult: int = 0
-    pmult: int = 0
-    hadd: int = 0
-    rescale: int = 0
-
-    def scaled(self, factor):
-        """Bundle with every count multiplied by ``factor`` (int)."""
-        return OpBundle(
-            rotation=self.rotation * factor,
-            cmult=self.cmult * factor,
-            pmult=self.pmult * factor,
-            hadd=self.hadd * factor,
-            rescale=self.rescale * factor,
-        )
-
-    def __add__(self, other):
-        return OpBundle(
-            rotation=self.rotation + other.rotation,
-            cmult=self.cmult + other.cmult,
-            pmult=self.pmult + other.pmult,
-            hadd=self.hadd + other.hadd,
-            rescale=self.rescale + other.rescale,
-        )
-
-    @property
-    def total_ops(self):
-        return (self.rotation + self.cmult + self.pmult + self.hadd
-                + self.rescale)
-
-    def trace(self, level=None):
-        """This bundle as an :class:`repro.ir.OpTrace`.
-
-        ``OpBundle`` remains the thin Table-I row constructor; the trace
-        is the currency the cost model lowers and the simulator carries.
-        """
-        from repro.ir import OpTrace
-
-        return OpTrace.from_bundle(self, level=level)
+def _row(**counts):
+    """A level-unbound trace of ``op_name=count`` entries."""
+    return OpTrace([((op, None), count) for op, count in counts.items()])
 
 
 #: Table I, ConvBN row: 8 Rotations, 2 PMults, 7 HAdds per kernel unit.
-CONVBN_UNIT = OpBundle(rotation=8, pmult=2, hadd=7)
+CONVBN_UNIT = _row(rotation=8, pmult=2, hadd=7)
 
 #: Table I, Pooling row: 2 Rotations, 1 PMult.
-POOLING_UNIT = OpBundle(rotation=2, pmult=1)
+POOLING_UNIT = _row(rotation=2, pmult=1)
 
 #: Table I, FC row: 1 Rotation, 1 PMult.
-FC_UNIT = OpBundle(rotation=1, pmult=1)
+FC_UNIT = _row(rotation=1, pmult=1)
 
 #: Table I, PCMM row: 1 Rotation, 1 PMult.
-PCMM_UNIT = OpBundle(rotation=1, pmult=1)
+PCMM_UNIT = _row(rotation=1, pmult=1)
 
 #: Table I, CCMM row: 7 Rotations, 1 CMult, 1 PMult, 6 HAdds.
-CCMM_UNIT = OpBundle(rotation=7, cmult=1, pmult=1, hadd=6)
+CCMM_UNIT = _row(rotation=7, cmult=1, pmult=1, hadd=6)
 
 #: Table I, Non-linear row: 8 CMults, 15 HAdds per polynomial evaluation.
-NONLINEAR_UNIT = OpBundle(cmult=8, hadd=15)
+NONLINEAR_UNIT = _row(cmult=8, hadd=15)

@@ -75,9 +75,6 @@ class ClusterSpec:
             )
         return card_index // self.cards_per_server
 
-    def same_server(self, a, b):
-        return self.server_of(a) == self.server_of(b)
-
 
 def hydra_cluster(servers, cards_per_server, card=HYDRA_CARD,
                   network=None, name=None):

@@ -6,7 +6,7 @@ One typed vocabulary (:class:`FheOp`) and one counting currency
 * the functional CKKS evaluator *records* executed ops through
   :func:`record_op` (captured with :func:`collect_ops`);
 * the scheduler *constructs* modeled traces per mapped task
-  (Table-I bundles via :meth:`repro.cost.OpBundle.trace`);
+  (the Table I rows in :mod:`repro.cost.ops` are traces too);
 * the cost model *lowers* traces into hardware-time components
   (:meth:`repro.cost.OpCostModel.lower`);
 * the simulator *aggregates* traces per card
@@ -27,7 +27,7 @@ from repro.ir.check import (
     modeled_polyeval_trace,
 )
 from repro.ir.ops import CANONICAL_ORDER, FheOp, coerce_op, order_index
-from repro.ir.trace import OpTrace, as_trace, collect_ops, record_op
+from repro.ir.trace import OpTrace, collect_ops, record_op
 
 __all__ = [
     "CANONICAL_ORDER",
@@ -35,7 +35,6 @@ __all__ = [
     "OpDiff",
     "OpTrace",
     "TraceComparison",
-    "as_trace",
     "coerce_op",
     "collect_ops",
     "compare_traces",

@@ -1,7 +1,7 @@
 """Executed-vs-modeled op-count cross-validation.
 
 The reproduction's central assumption is that the analytic op arithmetic
-the scheduler plans with (Table-I bundles, the Eq.-1 BSGS decomposition,
+the scheduler plans with (the Table I rows, the Eq.-1 BSGS decomposition,
 the Algorithm-1 polynomial tree) counts the same operations the
 functional CKKS layer actually executes.  This module makes that an
 invariant that can be checked mechanically:

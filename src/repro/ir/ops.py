@@ -1,7 +1,7 @@
 """The typed FHE operation vocabulary.
 
 Every layer that counts operations — the functional CKKS evaluator, the
-Table-I scheduler bundles, the cost model, the simulator — speaks this
+Table I rows the scheduler maps, the cost model, the simulator — speaks this
 one enum.  The first five members are exactly the paper's Table I
 vocabulary; the rest are the sub-operations the cost model decomposes
 them into (a Rotation is an Automorphism plus a Keyswitch; a Keyswitch
@@ -34,10 +34,10 @@ class FheOp(Enum):
         return self.value
 
 
-#: Deterministic lowering/iteration order.  The first five entries
-#: reproduce the summation order of the legacy ``OpCostModel.bundle()``
-#: if-chain, keeping ``lower()`` byte-identical to it on Table-I bundles
-#: (float addition is order-sensitive).
+#: Deterministic lowering/iteration order.  The first five entries are
+#: the Table I vocabulary in the order ``OpCostModel.lower()`` sums a
+#: row's prices (rotation, cmult, pmult, hadd, rescale); float addition
+#: is order-sensitive, and the plan pins depend on that order.
 CANONICAL_ORDER = (
     FheOp.ROTATION,
     FheOp.CMULT,

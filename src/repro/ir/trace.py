@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.ir.ops import CANONICAL_ORDER, coerce_op, order_index
+from repro.ir.ops import coerce_op, order_index
 from repro.obs.metrics import inc as _metric_inc
 
 __all__ = [
     "OpTrace",
-    "as_trace",
     "collect_ops",
     "record_op",
 ]
@@ -59,21 +58,6 @@ class OpTrace:
         """A trace holding ``count`` occurrences of one operation."""
         trace = cls()
         trace.record(op, count, level=level)
-        return trace
-
-    @classmethod
-    def from_bundle(cls, bundle, level=None):
-        """Convert a legacy Table-I :class:`~repro.cost.OpBundle`.
-
-        Entries are inserted in the legacy ``bundle()`` if-chain order
-        (rotation, cmult, pmult, hadd, rescale), which the canonical
-        iteration order preserves.
-        """
-        trace = cls()
-        for op in CANONICAL_ORDER:
-            count = getattr(bundle, op.value, 0)
-            if count:
-                trace.record(op, count, level=level)
         return trace
 
     # ------------------------------------------------------------------
@@ -147,11 +131,6 @@ class OpTrace:
             out[op.value] = out.get(op.value, 0) + count
         return out
 
-    def ops(self):
-        """The distinct operations present, in canonical order."""
-        seen = {op for op, _ in self._counts}
-        return [op for op in CANONICAL_ORDER if op in seen]
-
     @property
     def total_ops(self):
         return sum(self._counts.values())
@@ -194,23 +173,6 @@ class OpTrace:
         return trace
 
 
-def as_trace(ops, level=None):
-    """Coerce ``ops`` into an :class:`OpTrace`.
-
-    Accepts a trace (returned as-is), a legacy Table-I ``OpBundle`` (or
-    any object exposing per-op count attributes), or a mapping of op
-    name to count.
-    """
-    if isinstance(ops, OpTrace):
-        return ops
-    if hasattr(ops, "items"):
-        trace = OpTrace()
-        for op, count in ops.items():
-            trace.record(op, count, level=level)
-        return trace
-    return OpTrace.from_bundle(ops, level=level)
-
-
 # ----------------------------------------------------------------------
 # Live recording: the single CKKS instrumentation point
 # ----------------------------------------------------------------------
@@ -233,17 +195,13 @@ def collect_ops(trace=None):
         _collectors.remove(trace)
 
 
-def record_op(op, level=None, count=1, metric="ckks.evaluator.ops"):
+def record_op(op, level=None, count=1):
     """Record one executed FHE operation.
 
-    Emits the pre-existing observability counter (same name and labels
-    as the free-form ``_metric_inc`` calls this replaces) and feeds
-    every active :func:`collect_ops` collector.  ``metric=None``
-    suppresses the counter (scheduler-side modeled traces never touch
-    the metrics registry).
+    Bumps the ``ckks.evaluator.ops`` observability counter (labelled by
+    op) and feeds every active :func:`collect_ops` collector.
     """
-    if metric is not None:
-        _metric_inc(metric, count, op=op.value)
+    _metric_inc("ckks.evaluator.ops", count, op=op.value)
     if _collectors:
         for trace in _collectors:
             trace.record(op, count, level=level)

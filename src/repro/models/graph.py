@@ -113,9 +113,15 @@ class ModelGraph:
     #: packing-efficiency calibration (see repro.cost.calibration)
     work_scale: float = 1.0
 
+    def __post_init__(self):
+        # The step names, so ``add`` rejects a duplicate in O(1).  Not a
+        # dataclass field: graph digests, run keys and equality skip it.
+        self._names = {s.name for s in self.steps}
+
     def add(self, step: Step):
-        if any(s.name == step.name for s in self.steps):
+        if step.name in self._names:
             raise ValueError(f"duplicate step name {step.name!r}")
+        self._names.add(step.name)
         self.steps.append(step)
         return step
 

@@ -110,13 +110,6 @@ class RnsContext:
             prod *= self.moduli[i]
         return prod
 
-    def log2_modulus_product(self, indices):
-        """Return ``log2`` of the product of moduli at ``indices``."""
-        total = 0.0
-        for i in indices:
-            total += float(np.log2(self.moduli[i]))
-        return total
-
     # ------------------------------------------------------------------
     # Memoized per-basis constants and kernels
     # ------------------------------------------------------------------

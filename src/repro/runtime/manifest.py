@@ -89,7 +89,3 @@ class RunManifest:
 
     def to_json(self, indent=2):
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())

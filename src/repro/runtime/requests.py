@@ -1,12 +1,12 @@
 """Declarative experiment descriptions: ``RunRequest`` → ``RunResult``.
 
 A :class:`RunRequest` names everything needed to reproduce one
-simulation — workload, deployment (by registry name or explicit
-:class:`~repro.hw.ClusterSpec`), energy accounting, and planner
-configuration — and is a frozen, picklable value object, so the executor
-can ship it to worker processes and the fingerprint module can key the
-persistent cache off it.  :func:`paper_grid` builds the paper's full
-7-system × 4-benchmark evaluation grid.
+simulation — workload, deployment (a :class:`~repro.hw.ClusterSpec`),
+energy accounting, and planner configuration — and is a frozen,
+picklable value object, so the executor can ship it to worker processes
+and the fingerprint module can key the persistent cache off it.
+:func:`paper_grid` builds the paper's full 7-system × 4-benchmark
+evaluation grid.
 """
 
 from __future__ import annotations
@@ -27,50 +27,33 @@ DEFAULT_ROUNDS = 4
 class RunRequest:
     """One full-model simulation to perform.
 
-    Exactly one of ``system`` (a registry name, see
-    :func:`repro.core.available_systems`) or ``cluster`` (an explicit
-    spec) must be given.  ``params`` / ``calibration`` default to the
-    paper configuration.  ``model`` is a hand-built
-    :class:`~repro.models.ModelGraph` to plan in place of the registered
-    graph; ``benchmark`` then carries its name.
+    ``cluster`` is the deployment; a registered one is
+    ``repro.core.cluster_named(name)``, whose spec carries that name.
+    ``params`` / ``calibration`` default to the paper configuration.
+    ``model`` is a hand-built :class:`~repro.models.ModelGraph` to plan
+    in place of the registered graph; ``benchmark`` then carries its
+    name.
     """
 
     benchmark: str
-    system: str = None
-    cluster: object = None
+    cluster: object
     with_energy: bool = True
     params: object = PAPER_PARAMS
     calibration: object = DEFAULT_CALIBRATION
     rounds: int = DEFAULT_ROUNDS
     model: object = None
 
-    def __post_init__(self):
-        if (self.system is None) == (self.cluster is None):
-            raise ValueError(
-                "specify exactly one of system= (registry name) or "
-                "cluster= (explicit ClusterSpec)"
-            )
-
-    # ------------------------------------------------------------------
-
     @property
     def system_name(self):
-        return self.system if self.system is not None else self.cluster.name
+        return self.cluster.name
 
     @property
     def label(self):
         return f"{self.benchmark} @ {self.system_name}"
 
-    def resolve_cluster(self):
-        if self.cluster is not None:
-            return self.cluster
-        from repro.core.system import cluster_named
-
-        return cluster_named(self.system)
-
     def key(self):
         """Full config fingerprint key for the result cache."""
-        return run_key(self.resolve_cluster(), self.params,
+        return run_key(self.cluster, self.params,
                        self.calibration, self.rounds, self.benchmark,
                        self.with_energy, model=self.model)
 
@@ -78,7 +61,7 @@ class RunRequest:
         """Simulate uncached; returns the raw ``ModelRunResult``."""
         from repro.core.system import HydraSystem
 
-        system = HydraSystem(self.resolve_cluster(), params=self.params,
+        system = HydraSystem(self.cluster, params=self.params,
                              calibration=self.calibration,
                              rounds=self.rounds)
         return system.run(
@@ -118,12 +101,17 @@ class RunResult:
 
 def paper_grid(systems=None, benchmarks=None, with_energy=True):
     """Requests for the paper's evaluation grid (defaults: all × all)."""
-    from repro.core.system import available_benchmarks, available_systems
+    from repro.core.system import (
+        available_benchmarks,
+        available_systems,
+        cluster_named,
+    )
 
     systems = list(systems) if systems else available_systems()
     benchmarks = list(benchmarks) if benchmarks else available_benchmarks()
     return [
-        RunRequest(benchmark=b, system=s, with_energy=with_energy)
+        RunRequest(benchmark=b, cluster=cluster_named(s),
+                   with_energy=with_energy)
         for s in systems
         for b in benchmarks
     ]

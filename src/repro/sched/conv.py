@@ -3,7 +3,7 @@
 This is the ConvBN strategy of paper Figs. 1-2, and — because Pooling,
 FC, PCMM and CCMM all decompose into independent parallel units whose
 results every card needs for the next step — the same machinery maps all
-of them, parameterized by the per-unit operation bundle (Table I row) and
+of them, parameterized by the per-unit operation trace (Table I row) and
 the aggregate output volume.
 
 Each card receives an equal share of the units and processes it in
@@ -16,8 +16,6 @@ overlap argument of Section III-A.
 
 from __future__ import annotations
 
-from repro.ir import as_trace
-
 __all__ = ["map_distributed_units"]
 
 
@@ -25,7 +23,7 @@ def map_distributed_units(
     builder,
     cost,
     units,
-    unit_bundle,
+    unit_trace,
     level,
     output_ciphertexts,
     tag,
@@ -42,9 +40,10 @@ def map_distributed_units(
         :class:`repro.cost.OpCostModel` for the card.
     units:
         Total parallel units in the layer (paper Table I parallelism).
-    unit_bundle:
-        FHE ops per unit: a Table I row (:class:`repro.cost.OpBundle`)
-        or an :class:`repro.ir.OpTrace`.
+    unit_trace:
+        FHE ops per unit, an :class:`repro.ir.OpTrace` such as a Table I
+        row of :mod:`repro.cost.ops`; its level-less entries run at
+        ``level``.
     level:
         Ciphertext level the layer executes at.
     output_ciphertexts:
@@ -62,7 +61,7 @@ def map_distributed_units(
     n = builder.num_nodes
     if units < 1:
         raise ValueError("layer must have at least one unit")
-    unit_trace = as_trace(unit_bundle).at_level(level)
+    unit_trace = unit_trace.at_level(level)
     unit_components = cost.lower(unit_trace).scaled(work_scale)
     unit_ops = unit_trace.scaled(work_scale)
     unit_time = unit_components.seconds

@@ -40,14 +40,14 @@ from repro.sim.result import SimResult
 
 __all__ = ["Planner", "ModelRunResult"]
 
-# Table-I rows as level-unbound IR traces; map_step binds the step's
-# level when it hands them to the unit mapper.
+# Table I rows (level-unbound traces) by step kind; the unit mapper
+# binds the step's level.
 _UNIT_TRACES = {
-    "convbn": CONVBN_UNIT.trace(),
-    "pooling": POOLING_UNIT.trace(),
-    "fc": FC_UNIT.trace(),
-    "pcmm": PCMM_UNIT.trace(),
-    "ccmm": CCMM_UNIT.trace(),
+    "convbn": CONVBN_UNIT,
+    "pooling": POOLING_UNIT,
+    "fc": FC_UNIT,
+    "pcmm": PCMM_UNIT,
+    "ccmm": CCMM_UNIT,
 }
 
 
@@ -260,7 +260,7 @@ class Planner:
                 builder,
                 self.cost,
                 units=step.units,
-                unit_bundle=_UNIT_TRACES[step.kind],
+                unit_trace=_UNIT_TRACES[step.kind],
                 level=step.level,
                 output_ciphertexts=step.output_ciphertexts,
                 tag=step.procedure,

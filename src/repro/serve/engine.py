@@ -49,14 +49,6 @@ __all__ = ["SimDriver", "prepare_profiles", "run_scenario",
            "simulate_fleet"]
 
 
-def _ciphertext_bytes(params):
-    """Size of one (c0, c1) ciphertext under a parameter preset."""
-    if hasattr(params, "ciphertext_bytes"):
-        return float(params.ciphertext_bytes())
-    # Functional parameter sets: data limbs at the fresh level.
-    return float(2 * params.poly_degree * (params.num_scale_moduli + 1) * 8)
-
-
 def prepare_profiles(scenario, fleet_names=None, jobs=1, cache=None,
                      use_cache=True):
     """Plan service profiles for every (batch key, cluster) pair.
@@ -115,7 +107,7 @@ def prepare_profiles(scenario, fleet_names=None, jobs=1, cache=None,
             params=params_name,
             cluster_name=entry,
             compute_seconds=run_result.result.total_seconds,
-            ciphertext_bytes=_ciphertext_bytes(params),
+            ciphertext_bytes=float(params.ciphertext_bytes()),
             io_bandwidth=spec.card.pcie_bandwidth,
             cache_hit=run_result.cache_hit,
         )

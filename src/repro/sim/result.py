@@ -126,8 +126,8 @@ class SimResult:
     def total_ops(self):
         """All cards' op traces summed into one :class:`~repro.ir.OpTrace`.
 
-        Returns None when no simulated task carried an op trace (pre-IR
-        cache blobs, hand-built programs).
+        Returns None when no simulated task carried an op trace
+        (hand-built programs).
         """
         present = [t for t in self.node_ops if t is not None]
         if not present:
@@ -230,11 +230,10 @@ class SimResult:
         from repro.cost.model import OpComponents
         from repro.ir import OpTrace
 
-        components = data.get("components_total")
-        # .get with a default keeps pre-IR cache blobs loading unchanged.
+        components = data["components_total"]
         node_ops = [
             None if t is None else OpTrace.from_dict(t)
-            for t in data.get("node_ops", [])
+            for t in data["node_ops"]
         ]
         return cls(
             makespan=data["makespan"],
@@ -248,5 +247,5 @@ class SimResult:
                 else OpComponents.from_dict(components)
             ),
             node_ops=node_ops,
-            trace=[TraceEvent.from_dict(ev) for ev in data.get("trace", [])],
+            trace=[TraceEvent.from_dict(ev) for ev in data["trace"]],
         )

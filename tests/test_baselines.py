@@ -32,8 +32,8 @@ class TestFabBaseline:
     def test_fab_card_slower_than_hydra(self):
         from repro.cost import CONVBN_UNIT, OpCostModel
         from repro.hw import HYDRA_CARD
-        fab = OpCostModel(FAB_M.card).bundle_time(CONVBN_UNIT, 20)
-        hydra = OpCostModel(HYDRA_CARD).bundle_time(CONVBN_UNIT, 20)
+        fab = OpCostModel(FAB_M.card).lower(CONVBN_UNIT, 20).seconds
+        hydra = OpCostModel(HYDRA_CARD).lower(CONVBN_UNIT, 20).seconds
         assert fab > 2 * hydra
 
 

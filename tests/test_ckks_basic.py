@@ -111,14 +111,6 @@ class TestMultiplicative:
             ct = ev.rescale(ev.square(ct, toy_fhe.relin_key))
         assert np.max(np.abs(toy_fhe.decrypt(ct) - z ** 4)) < TOL
 
-    def test_multiply_and_rescale_helper(self, toy_fhe, rng):
-        za, zb = toy_fhe.random_vector(rng), toy_fhe.random_vector(rng)
-        ev = toy_fhe.evaluator
-        out = ev.multiply_and_rescale(
-            toy_fhe.encrypt(za), toy_fhe.encrypt(zb), toy_fhe.relin_key
-        )
-        assert np.max(np.abs(toy_fhe.decrypt(out) - za * zb)) < TOL
-
 
 class TestRescaleAndLevels:
     def test_rescale_updates_scale_and_level(self, toy_fhe, rng):

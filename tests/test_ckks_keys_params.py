@@ -12,6 +12,7 @@ from repro.ckks import (
     toy_parameters,
 )
 from repro.ckks.params import PAPER_PARAMS
+from repro.sched.bootstrap import EVALEXP_DEGREE
 
 
 class TestParameterValidation:
@@ -42,7 +43,7 @@ class TestParameterValidation:
         assert PAPER_PARAMS.slot_count == 2 ** 15
         assert PAPER_PARAMS.log_q == 1260
         assert PAPER_PARAMS.log_pq == 1692
-        assert PAPER_PARAMS.evalexp_degree == 59
+        assert EVALEXP_DEGREE == 59
 
 
 class TestKeyGeneration:

@@ -1,5 +1,7 @@
 """Remaining coverage: run cache semantics and graph utility methods."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import parallelism_census
@@ -61,6 +63,21 @@ class TestGraphUtilities:
         g.add(Step(kind="bootstrap", name="b", procedure="Boot", level=9,
                    jobs=1))
         assert g.procedures == ["Boot", "ConvBN"]
+
+    def test_duplicate_step_name_rejected(self):
+        step = Step(kind="convbn", name="a", procedure="ConvBN", level=5,
+                    units=4)
+        g = ModelGraph(name="g", display_name="G")
+        g.add(step)
+        with pytest.raises(ValueError, match="duplicate step name"):
+            g.add(step)
+        # A graph rebuilt with other steps checks against those steps.
+        b = replace(step, name="b")
+        h = replace(g, steps=[b])
+        h.add(step)
+        with pytest.raises(ValueError):
+            h.add(b)
+        assert [s.name for s in h.steps] == ["b", "a"]
 
     def test_parallelism_range_missing_kind(self):
         # The Table I census has no row for a kind the graph lacks.

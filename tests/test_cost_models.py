@@ -9,7 +9,6 @@ from repro.cost import (
     EnergyAccumulator,
     EnergyModel,
     NONLINEAR_UNIT,
-    OpBundle,
     OpCostModel,
 )
 from repro.cost.edap import PUBLISHED_ASIC_EDAP
@@ -47,7 +46,7 @@ class TestOpCostModel:
         they may tie under the dataflow-overlap composition; both must
         dwarf the elementwise operations.
         """
-        lvl = hydra.default_level
+        lvl = PAPER_PARAMS.max_level // 2  # mid-chain
         assert (hydra.cmult(lvl).seconds
                 >= hydra.rotation(lvl).seconds
                 > 3 * hydra.pmult(lvl).seconds)
@@ -76,7 +75,7 @@ class TestOpCostModel:
 
     def test_bundle_composition(self, hydra):
         lvl = 15
-        total = hydra.bundle(CONVBN_UNIT, lvl)
+        total = hydra.lower(CONVBN_UNIT, lvl)
         manual = (hydra.rotation(lvl).scaled(8)
                   + hydra.pmult(lvl).scaled(2)
                   + hydra.hadd(lvl).scaled(7))
@@ -99,8 +98,8 @@ class TestBaselineCalibration:
 
     def _mix_time(self, card):
         m = OpCostModel(card)
-        return (0.7 * m.bundle_time(CONVBN_UNIT, 17)
-                + 0.3 * m.bundle_time(NONLINEAR_UNIT, 17))
+        return (0.7 * m.lower(CONVBN_UNIT, 17).seconds
+                + 0.3 * m.lower(NONLINEAR_UNIT, 17).seconds)
 
     def test_fab_ratio(self):
         ratio = self._mix_time(FAB_CARD) / self._mix_time(HYDRA_CARD)
@@ -134,7 +133,7 @@ class TestEnergyModel:
         """Paper Fig. 7: MA's energy is minimal among the CUs."""
         m = OpCostModel(HYDRA_CARD)
         em = EnergyModel(HYDRA_CARD)
-        acc = em.energy_of(m.bundle(CONVBN_UNIT, 25))
+        acc = em.energy_of(m.lower(CONVBN_UNIT, 25))
         assert acc.joules["ma"] < acc.joules["ntt"]
         assert acc.joules["ma"] < acc.joules["mm"]
 

@@ -64,8 +64,6 @@ class TestClusterSpec:
         assert HYDRA_L.server_of(0) == 0
         assert HYDRA_L.server_of(7) == 0
         assert HYDRA_L.server_of(8) == 1
-        assert HYDRA_L.same_server(0, 7)
-        assert not HYDRA_L.same_server(7, 8)
 
     def test_server_of_range_check(self):
         with pytest.raises(ValueError):

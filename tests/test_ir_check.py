@@ -153,24 +153,26 @@ class TestExecutedVsModeledFunctional:
 
 
 class TestLowerByteIdentity:
-    """``lower()`` must price Table-I bundles bit-identically to the
-    legacy ``bundle()`` if-chain it replaced."""
+    """``lower()`` must price the Table I rows bit-identically to the
+    reference if-chain below (rotation, cmult, pmult, hadd, rescale)."""
 
     @staticmethod
-    def _legacy_bundle(cost, bundle, level):
+    def _legacy_bundle(cost, row, level):
         from repro.cost.model import OpComponents
 
         total = OpComponents()
-        if bundle.rotation:
-            total = total + cost.rotation(level).scaled(bundle.rotation)
-        if bundle.cmult:
-            total = total + cost.cmult(level).scaled(bundle.cmult)
-        if bundle.pmult:
-            total = total + cost.pmult(level).scaled(bundle.pmult)
-        if bundle.hadd:
-            total = total + cost.hadd(level).scaled(bundle.hadd)
-        if bundle.rescale:
-            total = total + cost.rescale(level).scaled(bundle.rescale)
+        if row.total("rotation"):
+            total = total + cost.rotation(level).scaled(
+                row.total("rotation"))
+        if row.total("cmult"):
+            total = total + cost.cmult(level).scaled(row.total("cmult"))
+        if row.total("pmult"):
+            total = total + cost.pmult(level).scaled(row.total("pmult"))
+        if row.total("hadd"):
+            total = total + cost.hadd(level).scaled(row.total("hadd"))
+        if row.total("rescale"):
+            total = total + cost.rescale(level).scaled(
+                row.total("rescale"))
         return total
 
     @pytest.fixture(scope="class")
@@ -191,12 +193,11 @@ class TestLowerByteIdentity:
             POOLING_UNIT,
         )
 
-        for bundle in (CONVBN_UNIT, POOLING_UNIT, FC_UNIT, PCMM_UNIT,
-                       CCMM_UNIT, NONLINEAR_UNIT):
-            want = self._legacy_bundle(cost, bundle, level)
-            assert cost.bundle(bundle, level) == want
-            assert cost.lower(bundle.trace(), level=level) == want
-            assert cost.lower(bundle.trace(level=level)) == want
+        for row in (CONVBN_UNIT, POOLING_UNIT, FC_UNIT, PCMM_UNIT,
+                    CCMM_UNIT, NONLINEAR_UNIT):
+            want = self._legacy_bundle(cost, row, level)
+            assert cost.lower(row, level=level) == want
+            assert cost.lower(row.at_level(level)) == want
 
     def test_lower_requires_a_level(self, cost):
         with pytest.raises(ValueError):
@@ -210,7 +211,7 @@ class TestLowerByteIdentity:
         from repro.baselines import fab_cost_model, poseidon_cost_model
         from repro.cost.ops import CONVBN_UNIT
 
-        trace = CONVBN_UNIT.trace(level=15)
+        trace = CONVBN_UNIT.at_level(15)
         for model in (fab_cost_model(), poseidon_cost_model()):
             assert model.lower(trace).seconds > 0
 

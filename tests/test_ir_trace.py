@@ -1,37 +1,18 @@
 """Unit tests for the shared FHE-op IR: traces, algebra, serialization,
-simulator threading, and pre-IR cache-blob compatibility."""
+and simulator threading."""
 
 import json
-import pathlib
 
 import pytest
 
-from repro.cost.ops import (
-    CCMM_UNIT,
-    CONVBN_UNIT,
-    FC_UNIT,
-    NONLINEAR_UNIT,
-    PCMM_UNIT,
-    POOLING_UNIT,
-)
 from repro.ir import (
     CANONICAL_ORDER,
     FheOp,
     OpTrace,
-    as_trace,
     coerce_op,
     collect_ops,
     record_op,
 )
-
-TABLE1_BUNDLES = {
-    "convbn": CONVBN_UNIT,
-    "pooling": POOLING_UNIT,
-    "fc": FC_UNIT,
-    "pcmm": PCMM_UNIT,
-    "ccmm": CCMM_UNIT,
-    "nonlinear": NONLINEAR_UNIT,
-}
 
 
 class TestVocabulary:
@@ -107,35 +88,18 @@ class TestSerialization:
         b = OpTrace([((FheOp.ROTATION, 1), 3), ((FheOp.HADD, 1), 2)])
         assert json.dumps(a.to_dict()) == json.dumps(b.to_dict())
 
-    @pytest.mark.parametrize("name", sorted(TABLE1_BUNDLES))
-    def test_from_bundle_matches_attributes(self, name):
-        bundle = TABLE1_BUNDLES[name]
-        trace = bundle.trace(level=11)
-        for op in CANONICAL_ORDER:
-            assert trace.total(op) == getattr(bundle, op.value, 0)
-        assert trace.total_ops == bundle.total_ops
-        assert all(lvl == 11 for (_, lvl), _ in trace.items())
-
-    def test_as_trace_coercions(self):
-        t = OpTrace.single(FheOp.HADD, 1)
-        assert as_trace(t) is t
-        mapped = as_trace({"hadd": 2, "rotation": 1}, level=5)
-        assert mapped.items() == [((FheOp.ROTATION, 5), 1),
-                                  ((FheOp.HADD, 5), 2)]
-        assert as_trace(CONVBN_UNIT).total("rotation") == 8
-
 
 class TestCollectors:
     def test_collectors_nest_without_stealing(self):
         with collect_ops() as outer:
-            record_op(FheOp.HADD, level=3, metric=None)
+            record_op(FheOp.HADD, level=3)
             with collect_ops() as inner:
-                record_op(FheOp.PMULT, level=2, metric=None)
+                record_op(FheOp.PMULT, level=2)
         assert outer.totals() == {"pmult": 1, "hadd": 1}
         assert inner.totals() == {"pmult": 1}
 
     def test_no_collector_is_a_noop(self):
-        record_op(FheOp.HADD, metric=None)  # must not raise
+        record_op(FheOp.HADD)  # must not raise
 
     def test_record_op_emits_the_legacy_metric(self):
         from repro.obs import MetricsRegistry, use_registry
@@ -190,32 +154,6 @@ class TestSimContracts:
         result = Simulator(hydra_cluster(1, 1)).run(builder.build())
         assert result.node_ops == []
         assert result.total_ops() is None
-
-
-class TestPreIrCacheCompatibility:
-    FIXTURE = pathlib.Path(__file__).parent / "data" / \
-        "model_run_result_pre_ir.json"
-
-    def test_pre_ir_blob_still_deserializes(self):
-        """A result cached before the IR existed loads unchanged."""
-        from repro.sched.planner import ModelRunResult
-
-        data = json.loads(self.FIXTURE.read_text())
-        assert "node_ops" not in data["sim"]  # genuinely pre-IR
-        result = ModelRunResult.from_dict(data)
-        assert result.total_seconds == pytest.approx(data["total_seconds"])
-        assert result.sim.node_ops == []
-        assert result.sim.total_ops() is None
-
-    def test_pre_ir_blob_round_trips(self):
-        from repro.sched.planner import ModelRunResult
-
-        data = json.loads(self.FIXTURE.read_text())
-        result = ModelRunResult.from_dict(data)
-        again = ModelRunResult.from_dict(
-            json.loads(json.dumps(result.to_dict())))
-        assert again.total_seconds == result.total_seconds
-        assert again.sim.makespan == result.sim.makespan
 
 
 class TestOpHistogram:

@@ -144,7 +144,7 @@ print("done")
 # per-key locks must let exactly one of them compile each plan.
 _RACER_SCRIPT = """
 import json, os, sys, time
-from repro.core import HydraSystem
+from repro.core import HydraSystem, cluster_named
 from repro.runtime import RunRequest, SqlitePlanStore, execute
 
 cache_dir, go_file, out_path, path = sys.argv[1:5]
@@ -156,7 +156,7 @@ if path == "system":
     results = [HydraSystem.named(name, cache=store).run(
         "resnet18", with_energy=False) for name in systems]
 else:
-    requests = [RunRequest(benchmark="resnet18", system=name,
+    requests = [RunRequest(benchmark="resnet18", cluster=cluster_named(name),
                            with_energy=False) for name in systems]
     jobs = 2 if path == "execute-jobs2" else 1
     results = [rr.result for rr in execute(requests, jobs=jobs,

@@ -38,13 +38,6 @@ class TestConstruction:
         assert rns.modulus_product((0, 1)) == rns.moduli[0] * rns.moduli[1]
         assert rns.modulus_product(()) == 1
 
-    def test_log2_modulus_product(self, rns):
-        got = rns.log2_modulus_product((0, 1, 2))
-        expect = float(np.log2(rns.moduli[0]))
-        expect += float(np.log2(rns.moduli[1]))
-        expect += float(np.log2(rns.moduli[2]))
-        assert abs(got - expect) < 1e-9
-
 
 class TestBaseConvert:
     def test_exact_for_small_values(self, rns):

@@ -2,8 +2,9 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cost import OpBundle, OpCostModel
+from repro.cost import OpCostModel
 from repro.hw import HYDRA_CARD
+from repro.ir import OpTrace
 from repro.sched.groups import group_assignments, partition_groups
 
 _SETTINGS = dict(max_examples=40, deadline=None)
@@ -37,10 +38,11 @@ class TestCostModelProperties:
     @settings(**_SETTINGS)
     def test_bundle_equals_manual_sum(self, rot, cm, pm, ha, scale_k,
                                       level):
-        bundle = OpBundle(rotation=rot, cmult=cm, pmult=pm, hadd=ha)
+        bundle = OpTrace([(("rotation", None), rot), (("cmult", None), cm),
+                          (("pmult", None), pm), (("hadd", None), ha)])
         if bundle.total_ops == 0:
             return
-        total = _COST.bundle(bundle, level)
+        total = _COST.lower(bundle, level)
         manual = (
             _COST.rotation(level).scaled(rot)
             + _COST.cmult(level).scaled(cm)

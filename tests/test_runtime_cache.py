@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core import cluster_named
 from repro.hw import hydra_cluster
 from repro.models import resnet18
 from repro.runtime import (
@@ -77,9 +78,10 @@ class TestDefaultCache:
 
 _SUBPROCESS_SCRIPT = """
 import json
+from repro.core import cluster_named
 from repro.runtime import RunRequest, SqlitePlanStore, execute
 
-request = RunRequest(benchmark="resnet18", system="Hydra-S",
+request = RunRequest(benchmark="resnet18", cluster=cluster_named("Hydra-S"),
                      with_energy=False)
 outcome = execute([request], jobs=1, cache=SqlitePlanStore())
 manifest = outcome.manifest
@@ -119,12 +121,14 @@ class TestInvalidationThroughRequests:
         from repro.cost.calibration import DEFAULT_CALIBRATION
 
         cache = SqlitePlanStore(tmp_path)
-        base = RunRequest(benchmark="resnet18", system="Hydra-S",
+        base = RunRequest(benchmark="resnet18",
+                          cluster=cluster_named("Hydra-S"),
                           with_energy=False)
         scales = dict(DEFAULT_CALIBRATION.work_scale)
         scales["resnet18"] *= 3.0
         changed = RunRequest(
-            benchmark="resnet18", system="Hydra-S", with_energy=False,
+            benchmark="resnet18", cluster=cluster_named("Hydra-S"),
+            with_energy=False,
             calibration=replace(DEFAULT_CALIBRATION, work_scale=scales),
         )
         (r_base,) = execute([base], cache=cache)

@@ -151,16 +151,15 @@ class TestManifest:
         for record in payload["records"]:
             assert record["key"] and record["benchmark"]
 
-    def test_manifest_save(self, tmp_path):
+    def test_manifest_save(self):
+        """A manifest saves as JSON text through ``to_json``."""
         outcome = execute(
             [RunRequest(benchmark="resnet18",
                         cluster=hydra_cluster(1, 1),
                         with_energy=False)],
             jobs=1, cache=MemoryCache(),
         )
-        path = tmp_path / "manifest.json"
-        outcome.manifest.save(path)
-        assert json.loads(path.read_text())["runs"] == 1
+        assert json.loads(outcome.manifest.to_json())["runs"] == 1
 
     def test_by_label(self):
         requests = _small_grid(with_energy=False)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from repro.ckks.params import PAPER_PARAMS
-from repro.core import HydraSystem
+from repro.core import HydraSystem, cluster_named
 from repro.cost.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.hw import hydra_cluster
 from repro.models import resnet18
@@ -146,15 +146,9 @@ class TestPlannerConfigRegression:
 
 class TestRunRequestKeys:
     def test_named_system_matches_explicit_cluster_config(self):
-        named = RunRequest(benchmark="resnet18", system="Hydra-M",
+        named = RunRequest(benchmark="resnet18",
+                           cluster=cluster_named("Hydra-M"),
                            with_energy=False)
         system = HydraSystem.named("Hydra-M")
         assert named.key() == system.run_key("resnet18",
                                              with_energy=False)
-
-    def test_request_requires_exactly_one_target(self):
-        with pytest.raises(ValueError):
-            RunRequest(benchmark="resnet18")
-        with pytest.raises(ValueError):
-            RunRequest(benchmark="resnet18", system="Hydra-S",
-                       cluster=hydra_cluster(1, 1))

@@ -1,7 +1,5 @@
 """Unit tests for the task-mapping strategies (paper Section III)."""
 
-import math
-
 import pytest
 
 from repro.cost import CONVBN_UNIT, OpCostModel
@@ -59,7 +57,7 @@ class TestDistributedUnits:
     def test_single_node_runs_everything(self, cost):
         b = ProgramBuilder(1)
         work = map_distributed_units(
-            b, cost, units=100, unit_bundle=CONVBN_UNIT, level=20,
+            b, cost, units=100, unit_trace=CONVBN_UNIT, level=20,
             output_ciphertexts=8, tag="ConvBN",
         )
         res = _simulate(b, 1)
@@ -71,7 +69,7 @@ class TestDistributedUnits:
         for n in (1, 4, 8):
             b = ProgramBuilder(n)
             map_distributed_units(
-                b, cost, units=1024, unit_bundle=CONVBN_UNIT, level=20,
+                b, cost, units=1024, unit_trace=CONVBN_UNIT, level=20,
                 output_ciphertexts=8, tag="ConvBN",
             )
             times[n] = _simulate(b, n).makespan
@@ -81,19 +79,19 @@ class TestDistributedUnits:
     def test_uneven_units_distributed(self, cost):
         b = ProgramBuilder(4)
         map_distributed_units(
-            b, cost, units=7, unit_bundle=CONVBN_UNIT, level=20,
+            b, cost, units=7, unit_trace=CONVBN_UNIT, level=20,
             output_ciphertexts=4, tag="x",
         )
         res = _simulate(b, 4)
         # 7 units over 4 nodes: busiest node has 2.
-        unit = cost.bundle_time(CONVBN_UNIT, 20)
+        unit = cost.lower(CONVBN_UNIT, 20).seconds
         assert res.makespan >= 2 * unit
 
     def test_communication_mostly_hidden(self, cost):
         """Paper Section III-A: conv transfers overlap with computation."""
         b = ProgramBuilder(8)
         map_distributed_units(
-            b, cost, units=1024, unit_bundle=CONVBN_UNIT, level=20,
+            b, cost, units=1024, unit_trace=CONVBN_UNIT, level=20,
             output_ciphertexts=8, tag="x",
         )
         res = _simulate(b, 8)
@@ -103,7 +101,7 @@ class TestDistributedUnits:
         b = ProgramBuilder(2)
         with pytest.raises(ValueError):
             map_distributed_units(
-                b, cost, units=0, unit_bundle=CONVBN_UNIT, level=20,
+                b, cost, units=0, unit_trace=CONVBN_UNIT, level=20,
                 output_ciphertexts=1, tag="x",
             )
 

@@ -100,3 +100,35 @@ class TestSpeedupHelper:
         eight = Planner(HYDRA_M).run_model(_tiny_model())
         assert eight.speedup_over(one) > 1.0
         assert one.speedup_over(one) == pytest.approx(1.0)
+
+
+class TestTable1RowsAreShared:
+    """The Table I rows are module-level traces every mapped step reads;
+    planning must bind levels on copies and leave the rows as Table I
+    prints them."""
+
+    def test_mapping_leaves_rows_unbound_and_unchanged(self):
+        from repro.core import HydraSystem
+        from repro.cost.ops import (
+            CCMM_UNIT,
+            CONVBN_UNIT,
+            FC_UNIT,
+            NONLINEAR_UNIT,
+            PCMM_UNIT,
+            POOLING_UNIT,
+        )
+
+        system = HydraSystem.named("Hydra-M")
+        for benchmark in ("resnet18", "bert_base#decode"):
+            system.run(benchmark, with_energy=False, use_cache=False)
+        table1 = [
+            (CONVBN_UNIT, {"rotation": 8, "pmult": 2, "hadd": 7}),
+            (POOLING_UNIT, {"rotation": 2, "pmult": 1}),
+            (FC_UNIT, {"rotation": 1, "pmult": 1}),
+            (PCMM_UNIT, {"rotation": 1, "pmult": 1}),
+            (CCMM_UNIT, {"rotation": 7, "cmult": 1, "pmult": 1, "hadd": 6}),
+            (NONLINEAR_UNIT, {"cmult": 8, "hadd": 15}),
+        ]
+        for row, counts in table1:
+            assert row.totals() == counts
+            assert all(level is None for (_, level), _ in row.items())

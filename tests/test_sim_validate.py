@@ -43,7 +43,7 @@ class TestValidPrograms:
         cost = OpCostModel(HYDRA_CARD)
         b = ProgramBuilder(8)
         map_distributed_units(b, cost, units=100,
-                              unit_bundle=CONVBN_UNIT, level=20,
+                              unit_trace=CONVBN_UNIT, level=20,
                               output_ciphertexts=4, tag="c")
         map_bsgs_matvec(b, cost, list(range(8)), level=20, bs=2, gs=16,
                         tag="f")
