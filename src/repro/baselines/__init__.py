@@ -10,12 +10,8 @@
 """
 
 from repro.baselines.asic import ASIC_ACCELERATORS, asic_runtime, asic_edap
-from repro.baselines.fab import FAB_L, FAB_M, FAB_S, fab_cost_model, fab_planner
-from repro.baselines.poseidon import (
-    POSEIDON,
-    poseidon_cost_model,
-    poseidon_planner,
-)
+from repro.baselines.fab import FAB_L, FAB_M, FAB_S
+from repro.baselines.poseidon import POSEIDON
 
 __all__ = [
     "ASIC_ACCELERATORS",
@@ -25,8 +21,4 @@ __all__ = [
     "POSEIDON",
     "asic_edap",
     "asic_runtime",
-    "fab_cost_model",
-    "fab_planner",
-    "poseidon_cost_model",
-    "poseidon_planner",
 ]

@@ -5,8 +5,10 @@ numbers ("data is sourced from precise simulations based on the specific
 architectures", Section V-B); re-deriving four proprietary ASIC designs is
 out of scope, so we carry the same reference values (Tables II and III).
 
-Unlike the FPGA baselines (``fab_cost_model`` / ``poseidon_cost_model``),
-there is deliberately no ``repro.ir`` lowering here: these rows are
+Unlike the FPGA baselines (``OpCostModel(FAB_CARD)`` /
+``OpCostModel(POSEIDON_CARD)``, which lower the same ``repro.ir`` traces
+as Hydra's card, so any cost delta is attributable to hardware), there
+is deliberately no ``repro.ir`` lowering here: these rows are
 published end-to-end numbers, not per-op models, so routing an ``OpTrace``
 through them would fabricate a granularity the sources do not provide.
 """

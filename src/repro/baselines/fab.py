@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from repro.hw.cluster import fab_cluster
-from repro.sched.planner import Planner
 
-__all__ = ["FAB_S", "FAB_M", "FAB_L", "fab_cost_model", "fab_planner"]
+__all__ = ["FAB_S", "FAB_M", "FAB_L"]
 
 #: Single-card FAB (paper Table II "FAB-S").
 FAB_S = fab_cluster(1, name="FAB-S")
@@ -15,28 +14,3 @@ FAB_M = fab_cluster(8, name="FAB-M")
 
 #: 64-card extrapolation of FAB's architecture (paper Fig. 8 "FAB-L").
 FAB_L = fab_cluster(64, name="FAB-L")
-
-
-def fab_planner(cards=1, **planner_kwargs):
-    """A planner for a FAB deployment with ``cards`` FPGAs.
-
-    Multi-card FAB runs Hydra's task decomposition and mapping (the paper
-    applies it to FAB-M/FAB-L for a fair comparison); the difference is
-    purely architectural — card memory system and host-mediated fabric.
-    """
-    return Planner(fab_cluster(cards), **planner_kwargs)
-
-
-def fab_cost_model(params=None):
-    """An ``OpCostModel`` for the FAB card.
-
-    Lowers the exact same ``repro.ir`` traces as Hydra's model
-    (``OpCostModel.lower``); only the card microarchitecture differs, so
-    any cost delta between the accelerators is attributable to hardware,
-    never to divergent op accounting.
-    """
-    from repro.ckks.params import PAPER_PARAMS
-    from repro.cost.model import OpCostModel
-    from repro.hw.card import FAB_CARD
-
-    return OpCostModel(FAB_CARD, params or PAPER_PARAMS)

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from repro.hw.card import POSEIDON_CARD
 from repro.hw.cluster import ClusterSpec, NetworkSpec
-from repro.sched.planner import Planner
 
-__all__ = ["POSEIDON", "poseidon_cost_model", "poseidon_planner"]
+__all__ = ["POSEIDON"]
 
 #: Poseidon is a single-card design (no scale-out support).
 POSEIDON = ClusterSpec(
@@ -18,14 +17,3 @@ POSEIDON = ClusterSpec(
     fabric="none",
 )
 
-
-def poseidon_planner(**planner_kwargs):
-    return Planner(POSEIDON, **planner_kwargs)
-
-
-def poseidon_cost_model(params=None):
-    """An ``OpCostModel`` for the Poseidon card (lowers the shared IR)."""
-    from repro.ckks.params import PAPER_PARAMS
-    from repro.cost.model import OpCostModel
-
-    return OpCostModel(POSEIDON_CARD, params or PAPER_PARAMS)

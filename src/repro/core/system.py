@@ -13,9 +13,9 @@ synchronization machinery, behind one class::
 Results are planned through the runtime's one cached plan path,
 :func:`repro.runtime.execute`, into an injectable
 :class:`repro.runtime.RunCache` keyed by the *full* configuration
-fingerprint (cluster, CKKS parameters, calibration, planner rounds, code
-version — see :mod:`repro.runtime.fingerprint`), so deployments that
-differ in any modelled quantity never serve each other's results.  By
+fingerprint (cluster, calibration, code version — see
+:mod:`repro.runtime.fingerprint`), so deployments that differ in any
+modelled quantity never serve each other's results.  By
 default all ``HydraSystem`` instances share the process-wide
 :func:`repro.runtime.default_cache`; pass ``cache=`` to isolate, or use
 :class:`repro.runtime.SqlitePlanStore` for persistence across processes.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from repro.baselines.fab import FAB_L, FAB_M, FAB_S
 from repro.baselines.poseidon import POSEIDON
+from repro.cost.calibration import DEFAULT_CALIBRATION
 from repro.hw.cluster import HYDRA_L, HYDRA_M, HYDRA_S, hydra_cluster
 from repro.models import BENCHMARKS
 from repro.runtime.cache import default_cache
@@ -85,14 +86,15 @@ class HydraSystem:
     cache:
         A :class:`repro.runtime.RunCache` for results; None shares the
         process-wide :func:`repro.runtime.default_cache`.
-    **planner_kwargs:
-        Forwarded to :class:`~repro.sched.Planner` (``params``,
-        ``calibration``, ``rounds``).
+    calibration:
+        The tuned constants (:class:`~repro.cost.Calibration`) the
+        :class:`~repro.sched.Planner` plans with.
     """
 
-    def __init__(self, cluster, cache=None, **planner_kwargs):
+    def __init__(self, cluster, cache=None,
+                 calibration=DEFAULT_CALIBRATION):
         self.cluster = cluster
-        self.planner = Planner(cluster, **planner_kwargs)
+        self.planner = Planner(cluster, calibration=calibration)
         self.cache = default_cache() if cache is None else cache
 
     # ------------------------------------------------------------------
@@ -149,13 +151,11 @@ class HydraSystem:
 
     def _request(self, benchmark, with_energy):
         """The :class:`~repro.runtime.RunRequest` of one :meth:`run`."""
-        planner = self.planner
         graph = None if isinstance(benchmark, str) else benchmark
         return RunRequest(
             benchmark=benchmark if graph is None else graph.name,
             cluster=self.cluster, model=graph, with_energy=with_energy,
-            params=planner.params, calibration=planner.calibration,
-            rounds=planner.rounds,
+            calibration=self.planner.calibration,
         )
 
     def run_key(self, benchmark, with_energy=True):

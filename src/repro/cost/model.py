@@ -79,7 +79,7 @@ class OpComponents:
 
 
 def _per_level(method):
-    """Memoize an op price: it is pure in (card, params, level), and
+    """Memoize an op price: it is pure in (card, level), and
     :class:`OpComponents` is frozen, so every caller can share it."""
     name = method.__name__
 
@@ -97,20 +97,22 @@ def _per_level(method):
 class OpCostModel:
     """Prices FHE operations on one :class:`repro.hw.CardSpec`.
 
-    Parameters default to the paper's evaluation setting
-    (``N = 2**16``, ``logQ = 1260``, ``log(PQ) = 1692``, 36-bit words).
-    Per-level op prices are computed once per model.
+    Prices are at the paper's evaluation setting, ``PAPER_PARAMS``
+    (``N = 2**16``, ``logQ = 1260``, ``log(PQ) = 1692``, 36-bit words),
+    the one parameter set every graph builder lays out levels for;
+    ``params`` exposes it to the bootstrap mapper.  Per-level op prices
+    are computed once per model.
     """
 
-    def __init__(self, card, params=PAPER_PARAMS):
+    def __init__(self, card):
         self.card = card
-        self.params = params
+        self.params = PAPER_PARAMS
         self._t_pass = (
-            params.poly_degree / card.lanes
+            PAPER_PARAMS.poly_degree / card.lanes
         ) / (card.frequency_hz * card.pipeline_efficiency)
         self._t_ntt_limb = card.ntt_stage_passes * self._t_pass
-        self._limb_bytes = params.poly_degree * _WORD_BYTES
-        self._special = params.special_limbs
+        self._limb_bytes = PAPER_PARAMS.poly_degree * _WORD_BYTES
+        self._special = PAPER_PARAMS.special_limbs
         self._prices = {}
 
     # ------------------------------------------------------------------

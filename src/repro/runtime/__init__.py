@@ -5,8 +5,8 @@ This package is how experiments run at scale:
 * :class:`RunRequest` / :class:`RunResult` — declarative, picklable
   descriptions of one full-model simulation (``requests``);
 * :func:`run_key` and friends — full configuration fingerprints
-  (cluster, CKKS params, calibration, planner rounds, code version)
-  keying every cached result (``fingerprint``);
+  (cluster, calibration, code version) keying every cached result
+  (``fingerprint``);
 * :class:`MemoryCache` / :class:`SqlitePlanStore` — injectable result
   caches, including the persistent cross-process plan store under
   ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-hydra/`` (``cache``,

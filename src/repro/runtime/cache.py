@@ -3,9 +3,10 @@
 Persistent caching lives under ``$REPRO_CACHE_DIR`` (or
 ``~/.cache/repro-hydra/`` when unset).  Because keys are full
 configuration fingerprints (:mod:`repro.runtime.fingerprint`), entries
-never go stale: any change to cluster, CKKS parameters, calibration,
-planner rounds, or simulation code lands on a different key, and
-orphaned entries are just never read again.
+never go stale: any change to cluster, calibration, or simulation code
+(the CKKS parameters and planner rounds are constants of that code)
+lands on a different key, and orphaned entries are just never read
+again.
 
 The persistent store is :class:`~repro.runtime.SqlitePlanStore`
 (sqlite + per-key file locks, safe for concurrent server processes).

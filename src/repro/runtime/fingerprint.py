@@ -2,8 +2,9 @@
 
 A cached :class:`~repro.sched.planner.ModelRunResult` is only valid while
 everything that produced it is unchanged: the cluster topology and card
-parameters, the CKKS parameter set, the calibration constants, the
-planner's distribution rounds, and the simulation code itself.
+parameters, the calibration constants, and the simulation code itself,
+which includes the CKKS parameter set and the planner's distribution
+rounds (both constants of that code).
 :func:`run_key` folds all of those into one stable, filename-safe digest,
 so two deployments that differ in *any* modelled quantity can never serve
 each other's results, and editing any simulation-defining source file
@@ -91,20 +92,17 @@ def code_fingerprint():
     return _code_digest
 
 
-def config_fingerprint(cluster, params, calibration, rounds):
+def config_fingerprint(cluster, calibration):
     """Digest of one complete simulation configuration."""
     payload = {
         "cluster": canonicalize(cluster),
-        "params": canonicalize(params),
         "calibration": canonicalize(calibration),
-        "rounds": rounds,
         "code": code_fingerprint(),
     }
     return _digest(payload)[:16]
 
 
-def run_key(cluster, params, calibration, rounds, benchmark,
-            with_energy, model=None):
+def run_key(cluster, calibration, benchmark, with_energy, model=None):
     """Filename-safe cache key for one (config, benchmark, energy) run.
 
     ``benchmark`` is the workload name.  When a custom
@@ -121,6 +119,6 @@ def run_key(cluster, params, calibration, rounds, benchmark,
         _SAFE.sub("-", cluster.name),
         "e1" if with_energy else "e0",
         model_digest,
-        config_fingerprint(cluster, params, calibration, rounds),
+        config_fingerprint(cluster, calibration),
     )
     return "-".join(parts)

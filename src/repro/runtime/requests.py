@@ -13,14 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ckks.params import PAPER_PARAMS
 from repro.cost.calibration import DEFAULT_CALIBRATION
 from repro.runtime.fingerprint import run_key
 
-__all__ = ["RunRequest", "RunResult", "paper_grid", "DEFAULT_ROUNDS"]
-
-#: Planner default distribution rounds (mirrors ``Planner.__init__``).
-DEFAULT_ROUNDS = 4
+__all__ = ["RunRequest", "RunResult", "paper_grid"]
 
 
 @dataclass(frozen=True)
@@ -29,7 +25,7 @@ class RunRequest:
 
     ``cluster`` is the deployment; a registered one is
     ``repro.core.cluster_named(name)``, whose spec carries that name.
-    ``params`` / ``calibration`` default to the paper configuration.
+    ``calibration`` defaults to the paper configuration.
     ``model`` is a hand-built :class:`~repro.models.ModelGraph` to plan
     in place of the registered graph; ``benchmark`` then carries its
     name.
@@ -38,9 +34,7 @@ class RunRequest:
     benchmark: str
     cluster: object
     with_energy: bool = True
-    params: object = PAPER_PARAMS
     calibration: object = DEFAULT_CALIBRATION
-    rounds: int = DEFAULT_ROUNDS
     model: object = None
 
     @property
@@ -53,17 +47,14 @@ class RunRequest:
 
     def key(self):
         """Full config fingerprint key for the result cache."""
-        return run_key(self.cluster, self.params,
-                       self.calibration, self.rounds, self.benchmark,
+        return run_key(self.cluster, self.calibration, self.benchmark,
                        self.with_energy, model=self.model)
 
     def execute(self):
         """Simulate uncached; returns the raw ``ModelRunResult``."""
         from repro.core.system import HydraSystem
 
-        system = HydraSystem(self.cluster, params=self.params,
-                             calibration=self.calibration,
-                             rounds=self.rounds)
+        system = HydraSystem(self.cluster, calibration=self.calibration)
         return system.run(
             self.benchmark if self.model is None else self.model,
             with_energy=self.with_energy, use_cache=False)

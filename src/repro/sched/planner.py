@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 
-from repro.ckks.params import PAPER_PARAMS
 from repro.cost.calibration import DEFAULT_CALIBRATION
 from repro.obs.metrics import inc as _metric_inc
 from repro.obs.spans import span as _span
@@ -124,16 +123,18 @@ class ModelRunResult:
 
 
 class Planner:
-    """Maps and simulates model graphs on one cluster."""
+    """Maps and simulates model graphs on one cluster.
 
-    def __init__(self, cluster, params=PAPER_PARAMS,
-                 calibration=DEFAULT_CALIBRATION, rounds=4):
+    Ops are priced at the paper's CKKS parameters and unit-parallel
+    steps use the mapper's default four distribution rounds;
+    ``calibration`` carries the tuned constants.
+    """
+
+    def __init__(self, cluster, calibration=DEFAULT_CALIBRATION):
         self.cluster = cluster
-        self.params = params
         self.calibration = calibration
-        self.cost = OpCostModel(cluster.card, params)
+        self.cost = OpCostModel(cluster.card)
         self.simulator = Simulator(cluster)
-        self.rounds = rounds
         self._dft_cache = {}
         # Effective inter-card bandwidth for the boot/DFT cost model:
         # Hydra uses the DTU line rate; FAB's host path is bounded by its
@@ -264,7 +265,6 @@ class Planner:
                 level=step.level,
                 output_ciphertexts=step.output_ciphertexts,
                 tag=step.procedure,
-                rounds=self.rounds,
                 work_scale=scale * step.unit_work,
             )
         elif step.is_polynomial:

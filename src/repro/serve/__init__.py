@@ -7,9 +7,8 @@ discrete-event serving simulation above :mod:`repro.sim`, in the same
 simulated clock domain:
 
 * :mod:`repro.serve.scenario` — declarative scenario files: tenants
-  (each bound to a model + CKKS parameter set + a seeded arrival
-  process), fleets of simulated clusters, queueing/batching/telemetry
-  knobs;
+  (each bound to a model + a seeded arrival process), fleets of
+  simulated clusters, queueing/batching/telemetry knobs;
 * :mod:`repro.serve.arrivals` — deterministic open-loop request
   generators (Poisson or fixed-spacing, seeded per tenant, lazily
   iterated so the event loop never materializes the horizon);
@@ -17,7 +16,7 @@ simulated clock domain:
   with explicit rejection and pluggable ordering policies (FIFO,
   per-tenant fair share, earliest-deadline-first);
 * :mod:`repro.serve.dispatch` — service profiles (planned once per
-  (model, params, cluster) through the :mod:`repro.runtime` cache) and
+  (model, cluster) through the :mod:`repro.runtime` cache) and
   the fleet dispatcher that extends the Procedure-2 contract across
   clusters with *pipelined occupancy* (a cluster stages the next batch
   in while the previous one computes or drains) and SLO-aware routing

@@ -22,7 +22,7 @@ the three conditions under deterministic open-loop arrivals — by
 doubling the replica count until a feasible fleet appears (clamped to
 ``max_replicas``) and then bisecting down to the minimum.  Every
 simulation is memoized, and service profiles are planned **once** per
-(model, params, shape) through the :mod:`repro.runtime` cache before
+(model, shape) through the :mod:`repro.runtime` cache before
 any search step, so the whole plan costs one profile-planning pass plus
 ``O(shapes x log(max_replicas))`` pure-simulation runs.
 
@@ -156,7 +156,7 @@ def plan_capacity(ref, shapes=None, max_replicas=8, jobs=1, cache=None,
             f"deadline_seconds; capacity planning needs an SLO to hold"
         )
 
-    # One planning pass covers every (model, params, shape) pair: the
+    # One planning pass covers every (model, shape) pair: the
     # per-replica simulations below only ever look profiles up by the
     # shape entry name, never by replica count.
     plan_fleets = {f"shape-{i}": (shape,)

@@ -41,6 +41,7 @@ skipped entirely, so DES report bytes cannot drift.
 
 from __future__ import annotations
 
+from repro.ckks.params import PAPER_PARAMS
 from repro.obs.flight import FlightRecorder
 from repro.obs.streaming import (
     StreamingHistogram,
@@ -52,7 +53,7 @@ from repro.obs.streaming import (
 from repro.serve.autoscale import Autoscaler
 from repro.serve.dispatch import READY_SLACK, ClusterState, select_cluster
 from repro.serve.queueing import AdmissionQueue, Request, make_policy
-from repro.serve.scenario import params_preset, resolve_fleet_cluster
+from repro.serve.scenario import resolve_fleet_cluster
 
 __all__ = [
     "ADMITTED",
@@ -454,7 +455,6 @@ class EngineCore:
             if done:
                 self._finish_session(now, request, request.arrival)
                 return
-            tenant = self.tenants[request.tenant]
             from repro.llm import KvSession
 
             self._sessions[request.session] = {
@@ -464,7 +464,7 @@ class EngineCore:
                 "tokens_total": request.tokens_total,
                 "last_token": now,
                 "kv_cluster": cluster.index,
-                "kv": KvSession(params_preset(tenant.params).max_level),
+                "kv": KvSession(PAPER_PARAMS.max_level),
             }
             self._schedule_decode(now, request.session,
                                   request.token_index + 1)
@@ -513,8 +513,7 @@ class EngineCore:
         recharge = session["kv"].advance()
         request = Request(
             id=self._request_ids, tenant=tenant.name,
-            batch_key=(f"{tenant.model}#decode", tenant.params,
-                       session["kv_cluster"]),
+            batch_key=(f"{tenant.model}#decode", session["kv_cluster"]),
             arrival=now, deadline=session["deadline"], phase="decode",
             session=session_id, token_index=token_index,
             tokens_total=session["tokens_total"], recharge=recharge)
@@ -619,12 +618,12 @@ class EngineCore:
         migration the routing mode forbids); once the KV cluster is
         retired, any cluster may take the batch (forced migration).
         """
-        if len(key) < 3 or not self.scenario.routing.session_affinity:
+        if len(key) < 2 or not self.scenario.routing.session_affinity:
             return True
-        kv_cluster = self.clusters[key[2]]
+        kv_cluster = self.clusters[key[1]]
         if kv_cluster.retired_at is not None:
             return True
-        return key[2] in free_idx
+        return key[1] in free_idx
 
     def _free_clusters(self, now):
         """Active replicas with a free batch slot at ``now``.
@@ -658,14 +657,14 @@ class EngineCore:
                 return
             self._record_depth(now)
             key = batch[0].batch_key
-            model, params_name = key[0], key[1]
+            model = key[0]
             base_model, _, phase = model.partition("#")
             phase = phase or None
             if phase == "decode":
                 # A decode step stages one query/token ciphertext each
                 # way per session.
                 cts_in = cts_out = len(batch)
-                kv_index = key[2]
+                kv_index = key[1]
                 info = self.llm_info[base_model]
                 affine = (routing.session_affinity
                           and self.clusters[kv_index].retired_at is None)
@@ -682,9 +681,9 @@ class EngineCore:
             plans = []
             batch_times = {}
             for cluster in candidates:
-                profile = self.profiles[(model, params_name, cluster.name)]
+                profile = self.profiles[(model, cluster.name)]
                 t_in, t_c, t_out = profile.batch_times(
-                    len(batch), cts_in, cts_out, self.scenario.overheads)
+                    cts_in, cts_out, self.scenario.overheads)
                 if phase == "prefill":
                     # The profile prices the model's native context;
                     # rescale to the batch's sampled prompt lengths.
@@ -693,8 +692,7 @@ class EngineCore:
                             / (len(batch) * info.context_tokens))
                 elif phase == "decode" and recharging:
                     recharge = self.profiles[
-                        (f"{base_model}#recharge", params_name,
-                         cluster.name)]
+                        (f"{base_model}#recharge", cluster.name)]
                     t_c += recharging * recharge.compute_seconds
                 if self.time_scale != 1.0:
                     t_in *= self.time_scale
@@ -713,7 +711,7 @@ class EngineCore:
                 # only once the batch lands does each session's cached
                 # K/V have to re-stage over the host link, an ingress
                 # surcharge the routing decision did not price.
-                profile = self.profiles[(model, params_name, cluster.name)]
+                profile = self.profiles[(model, cluster.name)]
                 migrate = (len(batch) * info.kv_ciphertexts
                            * profile.ciphertext_bytes
                            / profile.io_bandwidth)

@@ -3,11 +3,11 @@
 **Service profiles.** A batch's compute time on a cluster is the
 Procedure-2 makespan of one full planned model inference — the same
 plan-and-simulate path as ``repro run`` — obtained once per
-(model, params, cluster) through :mod:`repro.runtime` and its persistent
+(model, cluster) through :mod:`repro.runtime` and its persistent
 cache, never re-planned per request.  Within a batch, compatible
-requests share the planned program through slot packing, so batch
-compute scales as ``base * (1 + f * (B - 1))`` with ``f`` the scenario's
-``compute_per_extra_request`` (0 = perfect amortization up to the cap).
+requests share the planned program through slot packing, so a batch
+of any size up to the cap computes in that one makespan (perfect
+amortization).
 
 **Pipelined occupancy.** Procedure 2 overlaps communication under
 computation *inside* a step via the handshake; the fleet dispatcher
@@ -62,35 +62,31 @@ _ROUTING_MODES = ("greedy", "slo")
 
 @dataclass(frozen=True)
 class ServiceProfile:
-    """Per-(model, params, cluster) service costs for one batch."""
+    """Per-(model, cluster) service costs for one batch."""
 
     model: str
-    params: str
     cluster_name: str
     #: Procedure-2 makespan of one planned inference (simulated seconds)
     compute_seconds: float
-    #: size of one staged ciphertext under the tenant's parameter preset
+    #: size of one staged ciphertext at the paper's CKKS parameters
     ciphertext_bytes: float
     #: host link bandwidth used for staging (bytes/s)
     io_bandwidth: float
     #: True when the profile was served from the runtime result cache
     cache_hit: bool = False
 
-    def batch_times(self, size, cts_in, cts_out, overheads):
+    def batch_times(self, cts_in, cts_out, overheads):
         """``(t_in, t_compute, t_out)`` for one batch.
 
-        ``size`` is the number of coalesced requests; ``cts_in`` /
-        ``cts_out`` are the batch's *total* staged ciphertext counts
-        (requests of different tenants may carry different counts even
-        under the same batch key).
+        ``cts_in`` / ``cts_out`` are the batch's *total* staged
+        ciphertext counts (requests of different tenants may carry
+        different counts even under the same batch key); the batch
+        computes in one planned makespan whatever its size.
         """
         t_in = (overheads.batch_setup_seconds
                 + cts_in * self.ciphertext_bytes / self.io_bandwidth)
-        t_compute = self.compute_seconds * (
-            1.0 + overheads.compute_per_extra_request * (size - 1)
-        )
         t_out = cts_out * self.ciphertext_bytes / self.io_bandwidth
-        return t_in, t_compute, t_out
+        return t_in, self.compute_seconds, t_out
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import heapq
 
+from repro.ckks.params import PAPER_PARAMS
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import inc as _metric_inc
 from repro.serve.arrivals import iter_arrivals
@@ -41,7 +42,6 @@ from repro.serve.report import build_fleet_report, build_report
 from repro.serve.scenario import (
     Scenario,
     load_scenario,
-    params_preset,
     resolve_fleet_cluster,
 )
 
@@ -51,7 +51,7 @@ __all__ = ["SimDriver", "prepare_profiles", "run_scenario",
 
 def prepare_profiles(scenario, fleet_names=None, jobs=1, cache=None,
                      use_cache=True):
-    """Plan service profiles for every (batch key, cluster) pair.
+    """Plan service profiles for every (model, cluster) pair.
 
     Distinct pairs become :class:`repro.runtime.RunRequest` instances
     executed through :func:`repro.runtime.execute` — deduplicated,
@@ -60,7 +60,7 @@ def prepare_profiles(scenario, fleet_names=None, jobs=1, cache=None,
     plans each model exactly once per cluster shape.
 
     Returns ``(profiles, manifest)`` where ``profiles`` maps
-    ``(model, params_name, cluster_name) -> ServiceProfile``.
+    ``(model, cluster_name) -> ServiceProfile``.
     """
     from repro.runtime import RunRequest, execute
 
@@ -74,8 +74,8 @@ def prepare_profiles(scenario, fleet_names=None, jobs=1, cache=None,
     # Every graph each tenant needs: CNN tenants contribute their model;
     # LLM tenants contribute all three phase graphs (prefill / decode /
     # recharge), each planned like any other benchmark.
-    batch_keys = sorted({
-        (model, tenant.params)
+    models = sorted({
+        model
         for tenant in scenario.tenants
         for model in tenant.profile_models
     })
@@ -87,27 +87,24 @@ def prepare_profiles(scenario, fleet_names=None, jobs=1, cache=None,
             entries.append(scenario.autoscale.cluster)
         for entry in entries:
             spec = resolve_fleet_cluster(entry)
-            for model, params_name in batch_keys:
-                profile_key = (model, params_name, entry)
+            for model in models:
+                profile_key = (model, entry)
                 if profile_key in seen:
                     continue
                 seen.add(profile_key)
-                params = params_preset(params_name)
-                keys.append((profile_key, spec, params))
+                keys.append((profile_key, spec))
                 requests.append(RunRequest(benchmark=model, cluster=spec,
-                                           with_energy=False,
-                                           params=params))
+                                           with_energy=False))
     outcome = execute(requests, jobs=jobs, cache=cache,
                       use_cache=use_cache)
     profiles = {}
-    for (profile_key, spec, params), run_result in zip(keys, outcome):
-        model, params_name, entry = profile_key
+    for (profile_key, spec), run_result in zip(keys, outcome):
+        model, entry = profile_key
         profiles[profile_key] = ServiceProfile(
             model=model,
-            params=params_name,
             cluster_name=entry,
             compute_seconds=run_result.result.total_seconds,
-            ciphertext_bytes=float(params.ciphertext_bytes()),
+            ciphertext_bytes=float(PAPER_PARAMS.ciphertext_bytes()),
             io_bandwidth=spec.card.pcie_bandwidth,
             cache_hit=run_result.cache_hit,
         )

@@ -527,7 +527,6 @@ class LiveServer:
                 {
                     "name": t.name,
                     "model": t.model,
-                    "params": t.params,
                     "deadline_seconds": t.deadline_seconds,
                 }
                 for t in self.driver.scenario.tenants
@@ -543,14 +542,12 @@ class LiveServer:
             "plans": [
                 {
                     "model": p.model,
-                    "params": p.params,
                     "cluster": p.cluster_name,
                     "compute_seconds": p.compute_seconds,
                     "cache_hit": p.cache_hit,
                 }
                 for p in sorted(core.profiles.values(),
-                                key=lambda p: (p.model, p.params,
-                                               p.cluster_name))
+                                key=lambda p: (p.model, p.cluster_name))
             ],
         }
 

@@ -14,10 +14,11 @@ next:
   deadline sort last.
 
 Batching sits on top of the policy order: the best-ranked *ripe*
-request picks the batch key (model + params), and the batch fills with
-further pending requests of the same key in policy order.  A key is
-ripe when it has a full batch waiting or when its oldest pending
-request has aged past the batch window.
+request picks the batch key (the model graph, plus the KV cluster for
+LLM decode steps), and the batch fills with further pending requests
+of the same key in policy order.  A key is ripe when it has a full
+batch waiting or when its oldest pending request has aged past the
+batch window.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ class Request:
     carry multi-phase state: the prefill request opens a session, and
     each generated token re-enters admission as a follow-on ``decode``
     request whose batch key pins the cluster holding the session's KV
-    ciphertexts (``(model#decode, params, kv_cluster_index)``).
+    ciphertexts (``(model#decode, kv_cluster_index)``).
     """
 
     id: int
     tenant: str
-    batch_key: tuple  # (model, params preset[, kv cluster index])
+    batch_key: tuple  # (model[, kv cluster index])
     arrival: float
     deadline: float = None  # absolute simulated time, None = no SLO
     phase: str = None  # None (single-phase) | "prefill" | "decode"
@@ -103,7 +104,6 @@ class AdmissionQueue:
     pending: list = field(default_factory=list)
     #: dispatched-request count per tenant (fair-share state)
     served: dict = field(default_factory=dict)
-    rejected: int = 0
 
     def __len__(self):
         return len(self.pending)
@@ -111,33 +111,25 @@ class AdmissionQueue:
     def offer(self, request):
         """Admit ``request`` or reject it; returns True when admitted."""
         if len(self.pending) >= self.max_queue:
-            self.rejected += 1
             return False
         self.pending.append(request)
         return True
 
-    def oldest_pending_by_key(self):
-        """``{batch_key: earliest pending arrival}`` (flush-timer input)."""
-        oldest = {}
-        for req in self.pending:
-            cur = oldest.get(req.batch_key)
-            if cur is None or req.arrival < cur:
-                oldest[req.batch_key] = req.arrival
-        return oldest
-
     def ripe_keys(self, now, max_requests, window_seconds):
         """Batch keys eligible for dispatch at simulated time ``now``."""
-        sizes = {}
+        # One pass: each key's [pending count, earliest pending arrival].
+        waiting = {}
         for req in self.pending:
-            sizes[req.batch_key] = sizes.get(req.batch_key, 0) + 1
-        oldest = self.oldest_pending_by_key()
-        ripe = []
-        for key, size in sizes.items():
-            if size >= max_requests:
-                ripe.append(key)
-            elif now >= oldest[key] + window_seconds - 1e-12:
-                ripe.append(key)
-        return ripe
+            entry = waiting.get(req.batch_key)
+            if entry is None:
+                waiting[req.batch_key] = [1, req.arrival]
+            else:
+                entry[0] += 1
+                if req.arrival < entry[1]:
+                    entry[1] = req.arrival
+        return [key for key, (size, oldest) in waiting.items()
+                if size >= max_requests
+                or now >= oldest + window_seconds - 1e-12]
 
     def take_batch(self, now, max_requests, window_seconds,
                    dispatchable=None):

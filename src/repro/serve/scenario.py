@@ -28,11 +28,11 @@ experiment:
 Fleet entries are deployment registry names
 (:func:`repro.core.available_systems`) or ``"hydra-SxC"`` shorthand for
 arbitrary scale-out deployments (``hydra-2x4`` = 2 servers x 4 cards).
-Tenants bind a registered model to a CKKS parameter preset and a seeded
-arrival process (five models — see :mod:`repro.serve.arrivals`); every
-numeric knob is part of the runtime cache fingerprint chain, so two
-scenarios that differ in any modelled quantity never share planned
-service profiles by accident.
+Tenants bind a registered model to a seeded arrival process (five
+models — see :mod:`repro.serve.arrivals`), and every model is planned
+at the paper's CKKS parameters; every numeric knob is part of the
+runtime cache fingerprint chain, so two scenarios that differ in any
+modelled quantity never share planned service profiles by accident.
 
 The optional ``routing`` block configures SLO-aware fleet routing
 (:class:`~repro.serve.dispatch.RoutingConfig`, including
@@ -51,7 +51,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.ckks.params import PAPER_PARAMS
 from repro.hw.cluster import hydra_cluster
 from repro.serve.arrivals import validate_arrival
 from repro.serve.autoscale import AutoscaleConfig
@@ -67,7 +66,6 @@ __all__ = [
     "TenantSpec",
     "builtin_scenarios",
     "load_scenario",
-    "params_preset",
     "resolve_fleet_cluster",
     "validate_scenario_files",
 ]
@@ -78,11 +76,6 @@ _TENANT_KINDS = ("cnn", "llm")
 
 #: Committed scenario files shipped with the package.
 SCENARIOS_DIR = Path(__file__).resolve().parent / "scenarios"
-
-#: CKKS parameter presets a tenant may bind to.  Distinct presets are
-#: batching-incompatible (different ciphertext layouts) and produce
-#: distinct service profiles.
-_PARAMS_PRESETS = {"paper": PAPER_PARAMS}
 
 _POLICY_NAMES = ("fifo", "fair", "edf")
 _DISPATCH_MODES = ("pipelined", "serialized")
@@ -96,23 +89,12 @@ _SCENARIO_KEYS = frozenset({
     "routing", "autoscale",
 })
 _TENANT_KEYS = frozenset({
-    "name", "model", "arrival", "params", "deadline_seconds",
+    "name", "model", "arrival", "deadline_seconds",
     "ciphertexts_in", "ciphertexts_out", "slo_budget", "kind",
     "prompt_tokens", "output_tokens",
 })
 
 _SHORTHAND = re.compile(r"^hydra-(\d+)x(\d+)$")
-
-
-def params_preset(name):
-    """Resolve a CKKS parameter preset name (see ``_PARAMS_PRESETS``)."""
-    try:
-        return _PARAMS_PRESETS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown params preset {name!r}; "
-            f"available: {sorted(_PARAMS_PRESETS)}"
-        ) from None
 
 
 def resolve_fleet_cluster(name):
@@ -134,7 +116,7 @@ def resolve_fleet_cluster(name):
 
 @dataclass(frozen=True)
 class TenantSpec:
-    """One tenant: a model + CKKS params + an open-loop arrival process.
+    """One tenant: a model + an open-loop arrival process.
 
     ``deadline_seconds`` is a per-request relative latency SLO; requests
     completing later still count toward throughput but not goodput (and
@@ -153,7 +135,6 @@ class TenantSpec:
     model: str
     process: str = "poisson"
     rate_rps: float = 1.0
-    params: str = "paper"
     deadline_seconds: float = None
     ciphertexts_in: int = 1
     ciphertexts_out: int = 1
@@ -192,7 +173,6 @@ class TenantSpec:
             raise ValueError(
                 f"tenant {self.name!r}: slo_budget must be in (0, 1]"
             )
-        params_preset(self.params)  # fail fast on unknown presets
         if self.kind == "llm":
             from repro.llm import validate_token_distribution
             from repro.models.transformer import TRANSFORMER_SHAPES
@@ -215,15 +195,15 @@ class TenantSpec:
 
     @property
     def batch_key(self):
-        """Batching-compatibility key: same model + same params.
+        """Batching-compatibility key: same model.
 
         LLM arrivals enter admission as prefill requests; decode
         continuations get their own per-session keys (see
         :class:`repro.serve.queueing.Request`).
         """
         if self.kind == "llm":
-            return (f"{self.model}#prefill", self.params)
-        return (self.model, self.params)
+            return (f"{self.model}#prefill",)
+        return (self.model,)
 
     @property
     def profile_models(self):
@@ -261,7 +241,6 @@ class TenantSpec:
             model=data["model"],
             process=process,
             rate_rps=rate_rps,
-            params=data.get("params", "paper"),
             deadline_seconds=data.get("deadline_seconds"),
             ciphertexts_in=int(data.get("ciphertexts_in", 1)),
             ciphertexts_out=int(data.get("ciphertexts_out", 1)),
@@ -282,7 +261,6 @@ class TenantSpec:
         doc = {
             "name": self.name,
             "model": self.model,
-            "params": self.params,
             "arrival": arrival,
             "ciphertexts_in": self.ciphertexts_in,
             "ciphertexts_out": self.ciphertexts_out,
@@ -326,22 +304,16 @@ class Overheads:
 
     ``batch_setup_seconds`` models per-batch host orchestration (program
     upload, evaluation-key residency checks) paid on the cluster's I/O
-    path before input ciphertexts stream in;
-    ``compute_per_extra_request`` scales batch compute as
-    ``base * (1 + f * (B - 1))`` — 0.0 is perfect slot-packing
-    amortization up to the batch cap.
+    path before input ciphertexts stream in.  Batch compute carries no
+    per-request term: slot packing amortizes it perfectly up to the
+    batch cap (see :mod:`repro.serve.dispatch`).
     """
 
     batch_setup_seconds: float = 0.1
-    compute_per_extra_request: float = 0.0
 
     def __post_init__(self):
         if self.batch_setup_seconds < 0:
             raise ValueError("overheads.batch_setup_seconds must be >= 0")
-        if self.compute_per_extra_request < 0:
-            raise ValueError(
-                "overheads.compute_per_extra_request must be >= 0"
-            )
 
 
 @dataclass(frozen=True)
@@ -546,8 +518,6 @@ class Scenario:
             },
             "overheads": {
                 "batch_setup_seconds": self.overheads.batch_setup_seconds,
-                "compute_per_extra_request":
-                    self.overheads.compute_per_extra_request,
             },
             "telemetry": {
                 "num_windows": self.telemetry.num_windows,

@@ -10,9 +10,9 @@ from repro.baselines import (
     POSEIDON,
     asic_edap,
     asic_runtime,
-    fab_planner,
-    poseidon_planner,
 )
+from repro.hw import fab_cluster
+from repro.sched import Planner
 
 
 class TestFabBaseline:
@@ -26,7 +26,7 @@ class TestFabBaseline:
         assert FAB_L.fabric == "fab-host"
 
     def test_fab_planner_comm_bandwidth_is_lan_bound(self):
-        p = fab_planner(8)
+        p = Planner(fab_cluster(8))
         assert p.comm_bandwidth == pytest.approx(1.25e9)
 
     def test_fab_card_slower_than_hydra(self):
@@ -43,7 +43,7 @@ class TestPoseidonBaseline:
         assert POSEIDON.fabric == "none"
 
     def test_planner_builds(self):
-        p = poseidon_planner()
+        p = Planner(POSEIDON)
         assert p.cluster is POSEIDON
 
 

@@ -208,11 +208,12 @@ class TestLowerByteIdentity:
             cost.lower(OpTrace.single(FheOp.NTT, 1, level=3))
 
     def test_baselines_lower_the_same_ir(self):
-        from repro.baselines import fab_cost_model, poseidon_cost_model
+        from repro.cost import OpCostModel
         from repro.cost.ops import CONVBN_UNIT
+        from repro.hw.card import FAB_CARD, POSEIDON_CARD
 
         trace = CONVBN_UNIT.at_level(15)
-        for model in (fab_cost_model(), poseidon_cost_model()):
+        for model in (OpCostModel(FAB_CARD), OpCostModel(POSEIDON_CARD)):
             assert model.lower(trace).seconds > 0
 
 

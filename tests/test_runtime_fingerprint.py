@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.ckks.params import PAPER_PARAMS
 from repro.core import HydraSystem, cluster_named
 from repro.cost.calibration import DEFAULT_CALIBRATION, Calibration
 from repro.hw import hydra_cluster
@@ -23,9 +22,7 @@ from repro.runtime import (
 def _key(**overrides):
     base = dict(
         cluster=hydra_cluster(1, 2),
-        params=PAPER_PARAMS,
         calibration=DEFAULT_CALIBRATION,
-        rounds=4,
         benchmark="resnet18",
         with_energy=False,
     )
@@ -51,9 +48,6 @@ class TestFingerprintSensitivity:
         changed = replace(DEFAULT_CALIBRATION, work_scale=scales)
         assert _key() != _key(calibration=changed)
 
-    def test_rounds_change_key(self):
-        assert _key() != _key(rounds=8)
-
     def test_cluster_changes_key(self):
         assert _key() != _key(cluster=hydra_cluster(1, 4))
 
@@ -78,7 +72,10 @@ class TestFingerprintSensitivity:
         assert len(fp) == 12
         int(fp, 16)  # hex digest
 
-    @pytest.mark.parametrize("edited", ["ir/ops.py", "llm/profile.py"])
+    # ckks/params.py holds the CKKS parameter set and sched/conv.py the
+    # distribution rounds: constants of the code, keyed through it.
+    @pytest.mark.parametrize("edited", ["ir/ops.py", "llm/profile.py",
+                                        "ckks/params.py", "sched/conv.py"])
     def test_code_fingerprint_covers_planning_source(self, edited,
                                                      tmp_path, monkeypatch):
         import shutil
@@ -99,8 +96,7 @@ class TestFingerprintSensitivity:
         assert code_fingerprint() != before
 
     def test_config_fingerprint_length(self):
-        fp = config_fingerprint(hydra_cluster(1, 2), PAPER_PARAMS,
-                                DEFAULT_CALIBRATION, 4)
+        fp = config_fingerprint(hydra_cluster(1, 2), DEFAULT_CALIBRATION)
         assert len(fp) == 16
 
 
@@ -126,14 +122,6 @@ class TestPlannerConfigRegression:
         # calibration must produce a strictly slower run — the old key
         # would have returned r_default itself here.
         assert r_doubled.total_seconds > r_default.total_seconds
-
-    def test_different_rounds_not_shared(self):
-        cache = MemoryCache()
-        a = HydraSystem(hydra_cluster(1, 2), cache=cache, rounds=4)
-        b = HydraSystem(hydra_cluster(1, 2), cache=cache, rounds=1)
-        ra = a.run("resnet18", with_energy=False)
-        rb = b.run("resnet18", with_energy=False)
-        assert ra is not rb
 
     def test_same_config_is_shared(self):
         cache = MemoryCache()

@@ -168,7 +168,7 @@ class TestHysteresis:
 
 def _profile(cluster_name, compute_seconds, model="resnet18"):
     return ServiceProfile(
-        model=model, params="paper", cluster_name=cluster_name,
+        model=model, cluster_name=cluster_name,
         compute_seconds=compute_seconds, ciphertext_bytes=1e6,
         io_bandwidth=16e9, cache_hit=False,
     )
@@ -203,7 +203,7 @@ class TestEngineIntegration:
                 hysteresis_seconds=10.0, up_threshold=8.0,
                 down_threshold=0.0),
         )
-        profiles = {("resnet18", "paper", "Hydra-S"):
+        profiles = {("resnet18", "Hydra-S"):
                     _profile("Hydra-S", compute_seconds=1.0)}
         report = simulate_fleet(scenario, "f", profiles)
         autoscale = report["autoscale"]
@@ -232,7 +232,7 @@ class TestEngineIntegration:
                 hysteresis_seconds=10.0, up_threshold=3.0,
                 down_threshold=0.0),
         )
-        profiles = {("resnet18", "paper", "Hydra-S"):
+        profiles = {("resnet18", "Hydra-S"):
                     _profile("Hydra-S", compute_seconds=2.0)}
         report = simulate_fleet(scenario, "f", profiles)
         autoscale = report["autoscale"]
@@ -259,7 +259,7 @@ class TestEngineIntegration:
                 hysteresis_seconds=10.0,
                 up_threshold=8.0, down_threshold=0.0),
         )
-        profiles = {("resnet18", "paper", "Hydra-S"):
+        profiles = {("resnet18", "Hydra-S"):
                     _profile("Hydra-S", compute_seconds=1.0)}
         report = simulate_fleet(scenario, "f", profiles)
         cost = report["card_seconds"]

@@ -30,7 +30,7 @@ from repro.serve.scenario import BatchConfig, Overheads
 
 def _profile(cluster_name, compute_seconds=2.0, model="resnet18"):
     return ServiceProfile(
-        model=model, params="paper", cluster_name=cluster_name,
+        model=model, cluster_name=cluster_name,
         compute_seconds=compute_seconds, ciphertext_bytes=1e6,
         io_bandwidth=16e9, cache_hit=False,
     )
@@ -56,7 +56,7 @@ def _profiles_for(scenario, compute_seconds=2.0):
     for entries in scenario.fleets.values():
         for entry in entries:
             for tenant in scenario.tenants:
-                profiles[(tenant.model, tenant.params, entry)] = _profile(
+                profiles[(tenant.model, entry)] = _profile(
                     entry, compute_seconds=compute_seconds,
                     model=tenant.model)
     return profiles

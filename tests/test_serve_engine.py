@@ -27,7 +27,7 @@ from repro.serve.scenario import (
 
 def _profile(cluster_name, compute_seconds=2.0, model="resnet18"):
     return ServiceProfile(
-        model=model, params="paper", cluster_name=cluster_name,
+        model=model, cluster_name=cluster_name,
         compute_seconds=compute_seconds, ciphertext_bytes=1e6,
         io_bandwidth=16e9, cache_hit=False,
     )
@@ -52,7 +52,7 @@ def _profiles_for(scenario):
     for entries in scenario.fleets.values():
         for entry in entries:
             for tenant in scenario.tenants:
-                key = (tenant.model, tenant.params, entry)
+                key = (tenant.model, entry)
                 profiles[key] = _profile(entry, model=tenant.model)
     return profiles
 
@@ -91,7 +91,7 @@ class TestEngine:
             max_queue=4,
             batch=BatchConfig(max_requests=1, window_seconds=0.0),
         )
-        profiles = {("resnet18", "paper", "Hydra-S"):
+        profiles = {("resnet18", "Hydra-S"):
                     _profile("Hydra-S", compute_seconds=10.0)}
         report = simulate_fleet(scenario, "f", profiles)
         stats = report["tenants"]["t0"]
@@ -104,7 +104,7 @@ class TestEngine:
         # ~1x beats four sequential singleton batches.
         tenants = (TenantSpec(name="t0", model="resnet18",
                               process="uniform", rate_rps=4.0),)
-        profiles = {("resnet18", "paper", "Hydra-S"):
+        profiles = {("resnet18", "Hydra-S"):
                     _profile("Hydra-S", compute_seconds=3.0)}
         batched = simulate_fleet(
             _scenario(duration_seconds=1.0, tenants=tenants,
@@ -127,7 +127,7 @@ class TestEngine:
                                 process="uniform", rate_rps=1.0),),
             batch=BatchConfig(max_requests=1, window_seconds=0.0),
         )
-        profiles = {("resnet18", "paper", "Hydra-S"):
+        profiles = {("resnet18", "Hydra-S"):
                     _profile("Hydra-S", compute_seconds=1.5)}
         report = simulate_fleet(scenario, "f", profiles)
         per_cluster = [c["requests"] for c in report["clusters"]]

@@ -47,7 +47,7 @@ SPECS = [
 
 @pytest.fixture(scope="module")
 def plan_cache(tmp_path_factory):
-    # One shared store: scenarios overlap in (model, params, cluster)
+    # One shared store: scenarios overlap in (model, cluster)
     # keys, so later cases plan mostly from cache.
     return SqlitePlanStore(tmp_path_factory.mktemp("plans"))
 

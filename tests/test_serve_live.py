@@ -35,7 +35,7 @@ from repro.serve.scenario import BatchConfig, Overheads
 
 def _profile(cluster_name, compute_seconds=2.0, model="resnet18"):
     return ServiceProfile(
-        model=model, params="paper", cluster_name=cluster_name,
+        model=model, cluster_name=cluster_name,
         compute_seconds=compute_seconds, ciphertext_bytes=1e6,
         io_bandwidth=16e9, cache_hit=False,
     )
@@ -61,7 +61,7 @@ def _profiles_for(scenario, compute_seconds=2.0):
     for entries in scenario.fleets.values():
         for entry in entries:
             for tenant in scenario.tenants:
-                profiles[(tenant.model, tenant.params, entry)] = _profile(
+                profiles[(tenant.model, entry)] = _profile(
                     entry, compute_seconds=compute_seconds,
                     model=tenant.model)
     return profiles
@@ -212,6 +212,11 @@ class TestLiveHTTP:
         assert doc["plans"], "plans must be precompiled before bind"
         assert doc["plans"][0]["cluster"] == "Hydra-S"
         assert doc["plans"][0]["compute_seconds"] > 0
+        # The fields the end-to-end benchmark reads off this document.
+        assert "time_scale" in doc
+        for plan in doc["plans"]:
+            assert set(plan) == {"model", "cluster", "compute_seconds",
+                                 "cache_hit"}
 
     def test_infer_end_to_end(self, server):
         status, body, _ = _http(

@@ -62,8 +62,8 @@ def _scenario():
 
 def _profiles(scenario):
     return {
-        (model, tenant.params, "Hydra-S"): ServiceProfile(
-            model=model, params=tenant.params, cluster_name="Hydra-S",
+        (model, "Hydra-S"): ServiceProfile(
+            model=model, cluster_name="Hydra-S",
             compute_seconds=1.0, ciphertext_bytes=1e6, io_bandwidth=16e9,
             cache_hit=False)
         for tenant in scenario.tenants

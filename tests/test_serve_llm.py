@@ -305,8 +305,7 @@ class TestScenarioLint:
             llm = [t for t in scenario.tenants if t.kind == "llm"]
             assert llm
             for tenant in llm:
-                assert tenant.batch_key == (f"{tenant.model}#prefill",
-                                            tenant.params)
+                assert tenant.batch_key == (f"{tenant.model}#prefill",)
                 assert tenant.profile_models \
                     == profile_models(tenant.model)
 
@@ -359,7 +358,7 @@ class TestLlmLevelsCli:
 
 @pytest.fixture(scope="module")
 def plan_cache(tmp_path_factory):
-    # One shared store: llm_chat_hydra_l's (model, params, cluster) keys
+    # One shared store: llm_chat_hydra_l's (model, cluster) keys
     # are a subset of llm_mixed's, so later runs plan from cache.
     return SqlitePlanStore(tmp_path_factory.mktemp("plans"))
 
@@ -536,9 +535,8 @@ def _llm_profiles(scenario, seconds):
             for tenant in scenario.tenants:
                 for model in tenant.profile_models:
                     phase = model.partition("#")[2] or "cnn"
-                    profiles[(model, tenant.params, entry)] = ServiceProfile(
-                        model=model, params=tenant.params,
-                        cluster_name=entry,
+                    profiles[(model, entry)] = ServiceProfile(
+                        model=model, cluster_name=entry,
                         compute_seconds=seconds[phase],
                         ciphertext_bytes=1e6, io_bandwidth=16e9,
                         cache_hit=False)

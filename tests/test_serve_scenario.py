@@ -92,8 +92,6 @@ class TestScenario:
             _tenant(process="bursty")
         with pytest.raises(ValueError, match="rate_rps"):
             _tenant(rate_rps=0.0)
-        with pytest.raises(KeyError, match="params preset"):
-            _tenant(params="toy")
 
 
 def _scenario_doc(**kw):
@@ -123,6 +121,15 @@ MALFORMED = {
         r"tenants\[0\]: unknown field\(s\) 'deadline_second'"),
     "top-level-unknown-key": ({"max_queues": 8},
                               r"scenario: unknown field\(s\) 'max_queues'"),
+    # Every model plans at the paper's CKKS parameters, and batch
+    # compute has no per-request term: neither field is a knob.
+    "tenant-params": (
+        {"tenants": [{"name": "t0", "model": "resnet18",
+                      "params": "paper"}]},
+        r"tenants\[0\]: unknown field\(s\) 'params'"),
+    "overheads-per-request-compute": (
+        {"overheads": {"compute_per_extra_request": 0.0}},
+        "overheads: .*'compute_per_extra_request'"),
 }
 
 
@@ -179,8 +186,7 @@ class TestArrivals:
                 != generate_arrivals(renamed, 5, 30.0))
 
 
-def _request(rid, tenant="t", arrival=0.0, key=("m", "paper"),
-             deadline=None):
+def _request(rid, tenant="t", arrival=0.0, key=("m",), deadline=None):
     return Request(id=rid, tenant=tenant, batch_key=key, arrival=arrival,
                    deadline=deadline)
 
@@ -191,7 +197,6 @@ class TestQueueing:
         assert queue.offer(_request(0))
         assert queue.offer(_request(1))
         assert not queue.offer(_request(2))
-        assert queue.rejected == 1
         assert len(queue) == 2
 
     def test_fifo_takes_arrival_order(self):
@@ -243,9 +248,9 @@ class TestQueueing:
 
     def test_batches_never_mix_keys(self):
         queue = AdmissionQueue(policy=make_policy("fifo"), max_queue=8)
-        queue.offer(_request(0, arrival=0.0, key=("a", "paper")))
-        queue.offer(_request(1, arrival=1.0, key=("b", "paper")))
-        queue.offer(_request(2, arrival=2.0, key=("a", "paper")))
+        queue.offer(_request(0, arrival=0.0, key=("a",)))
+        queue.offer(_request(1, arrival=1.0, key=("b",)))
+        queue.offer(_request(2, arrival=2.0, key=("a",)))
         batch = queue.take_batch(now=100.0, max_requests=4,
                                  window_seconds=0.0)
         assert [r.id for r in batch] == [0, 2]

@@ -26,7 +26,7 @@ from repro.serve.scenario import BatchConfig, Overheads, TelemetryConfig
 
 def _profile(cluster_name, compute_seconds=2.0, model="resnet18"):
     return ServiceProfile(
-        model=model, params="paper", cluster_name=cluster_name,
+        model=model, cluster_name=cluster_name,
         compute_seconds=compute_seconds, ciphertext_bytes=1e6,
         io_bandwidth=16e9, cache_hit=False,
     )
@@ -51,7 +51,7 @@ def _profiles_for(scenario):
     for entries in scenario.fleets.values():
         for entry in entries:
             for tenant in scenario.tenants:
-                key = (tenant.model, tenant.params, entry)
+                key = (tenant.model, entry)
                 profiles[key] = _profile(entry, model=tenant.model)
     return profiles
 
