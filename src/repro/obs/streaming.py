@@ -459,22 +459,29 @@ class StreamingIntervalUnion:
             raise ValueError(f"non-monotonic release time {now}")
         self._now = now
         if end > start:
-            merged = []
-            placed = False
             new = (float(start), float(end))
-            for interval in self._active:
-                if interval[1] < new[0] or new[1] < interval[0]:
-                    if not placed and interval[0] > new[1]:
-                        merged.append(new)
-                        placed = True
-                    merged.append(interval)
-                else:
-                    new = (min(interval[0], new[0]),
-                           max(interval[1], new[1]))
-            if not placed:
-                merged.append(new)
-            merged.sort()
-            self._active = merged
+            active = self._active
+            if not active or new[0] > active[-1][1]:
+                # After every active interval (the last one ends last):
+                # nothing merges and the list stays sorted.  One that
+                # starts exactly where the last ends merges below.
+                active.append(new)
+            else:
+                merged = []
+                placed = False
+                for interval in active:
+                    if interval[1] < new[0] or new[1] < interval[0]:
+                        if not placed and interval[0] > new[1]:
+                            merged.append(new)
+                            placed = True
+                        merged.append(interval)
+                    else:
+                        new = (min(interval[0], new[0]),
+                               max(interval[1], new[1]))
+                if not placed:
+                    merged.append(new)
+                merged.sort()
+                self._active = merged
         still_active = []
         for interval in self._active:
             if interval[1] <= now:

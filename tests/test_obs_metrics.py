@@ -209,11 +209,13 @@ class TestActiveRegistry:
         assert counters["sim.engine.runs"][""] == 1
         assert counters["sim.engine.tasks"][""] == 2
         assert counters["sim.engine.transfers"][""] == 1
-        # Heap pops: four start-up wakes, card 0's end-of-task comm
-        # wake, the sender wake card 1's ready signal pushes, one
-        # delivery, and the CT_d wake it pushes.  Three of the wakes
-        # change nothing: card 0's comm engine twice (its send waits for
-        # the task) and card 1's CT_d before the data arrived.
+        # Events popped from the FIFO (pushed at the current time) or
+        # the heap (pushed for later): four start-up wakes, card 0's
+        # end-of-task comm wake (heap), the sender wake card 1's ready
+        # signal pushes, one delivery (heap), and the CT_d wake it
+        # pushes.  Three of the wakes change nothing: card 0's comm
+        # engine twice (its send waits for the task) and card 1's CT_d
+        # before the data arrived.
         assert counters["sim.engine.events"][""] == 8
         assert counters["sim.engine.idle_wakes"][""] == 3
 

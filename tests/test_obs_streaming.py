@@ -308,6 +308,38 @@ def _reference_hist_add(hist, value):
         hist._buckets[index] = hist._buckets.get(index, 0) + 1
 
 
+def _reference_union_add(union, start, end, now=None):
+    if now is None:
+        now = start
+    if now < union._now:
+        raise ValueError(f"non-monotonic release time {now}")
+    union._now = now
+    if end > start:
+        merged = []
+        placed = False
+        new = (float(start), float(end))
+        for interval in union._active:
+            if interval[1] < new[0] or new[1] < interval[0]:
+                if not placed and interval[0] > new[1]:
+                    merged.append(new)
+                    placed = True
+                merged.append(interval)
+            else:
+                new = (min(interval[0], new[0]),
+                       max(interval[1], new[1]))
+        if not placed:
+            merged.append(new)
+        merged.sort()
+        union._active = merged
+    still_active = []
+    for interval in union._active:
+        if interval[1] <= now:
+            union._finalized += interval[1] - interval[0]
+        else:
+            still_active.append(interval)
+    union._active = still_active
+
+
 def _reference_counter_add(counter, t, value=1.0):
     index = min(int(t / counter.window_seconds), counter.num_windows - 1)
     counter._counts[index] += value
@@ -369,6 +401,32 @@ class TestAddsMatchTheReferenceBodies:
             fast.add(t, value)
             _reference_counter_add(ref, t, value)
         assert fast.counts() == ref.counts()
+
+    def test_interval_union_adds(self):
+        # Starts on a half-unit grid, at the last active end (touching),
+        # inside an active interval (nested) and off the grid; empty and
+        # inverted intervals too.
+        rng = random.Random(8)
+        for _ in range(40):
+            fast = StreamingIntervalUnion()
+            ref = StreamingIntervalUnion()
+            now = 0.0
+            for _ in range(300):
+                now += rng.choice([0.0, 0.0, 0.5, 1.0, rng.uniform(0.0, 1.5)])
+                starts = [now + rng.choice([0.0, 0.5, 1.0, 2.5]),
+                          now + rng.uniform(0.0, 3.0)]
+                if fast._active:
+                    lo, hi = fast._active[-1]
+                    starts.append(hi)
+                    starts.append(max(lo, now) + (hi - max(lo, now)) / 3)
+                start = rng.choice(starts)
+                end = start + rng.choice([0.0, -0.5, 0.5, 1.0, 1.5,
+                                          rng.uniform(0.0, 2.0)])
+                release = rng.choice([now, None]) if start == now else now
+                fast.add(start, end, now=release)
+                _reference_union_add(ref, start, end, now=release)
+                assert (repr((fast._active, fast._finalized))
+                        == repr((ref._active, ref._finalized)))
 
     @pytest.mark.parametrize("horizon", [7.3, 2.9])
     def test_intervals_inside_and_across_windows(self, horizon):

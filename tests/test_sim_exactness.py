@@ -125,14 +125,36 @@ PLAN_DIGESTS = {
 }
 
 
+# (sim.engine.events, sim.engine.idle_wakes) of each pinned plan.  An
+# engine that pops same-time events out of order can keep a plan's bytes
+# and still change these.
+PLAN_EVENTS = {
+    ("resnet18", "Hydra-M"): (13_229, 5_346),
+    ("resnet18", "FAB-M"): (13_974, 3_830),
+    ("resnet50", "Hydra-M"): (18_420, 7_369),
+    ("resnet50", "FAB-M"): (20_722, 5_646),
+    ("bert_base#decode", "Hydra-M"): (9_575, 3_974),
+    ("bert_base#decode", "FAB-M"): (11_102, 3_362),
+    ("bert_base#prefill", "Hydra-M"): (11_171, 4_275),
+    ("bert_base#prefill", "FAB-M"): (14_335, 3_791),
+}
+
+
 @pytest.mark.parametrize("graph,system", sorted(PLAN_DIGESTS))
 def test_plan_bytes_are_pinned(graph, system):
     import repro.llm  # noqa: F401 - phase graphs resolve through it
     from repro.core import HydraSystem
+    from repro.obs import MetricsRegistry, use_registry
 
-    result = HydraSystem.named(system).run(graph, with_energy=True,
-                                           use_cache=False)
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        result = HydraSystem.named(system).run(graph, with_energy=True,
+                                               use_cache=False)
     text = json.dumps(result.to_dict(), sort_keys=True,
                       separators=(",", ":"))
     assert (hashlib.sha256(text.encode()).hexdigest()
             == PLAN_DIGESTS[(graph, system)])
+    counters = registry.snapshot()["counters"]
+    assert ((counters["sim.engine.events"][""],
+             counters["sim.engine.idle_wakes"][""])
+            == PLAN_EVENTS[(graph, system)])
